@@ -25,14 +25,12 @@ from .geometry import (
     PhysicalParams,
     chord_arc_constant,
     curvature,
-    derivative,
     holder_norms,
     min_depth,
 )
 from .kernels import (
     Velocity2,
     VorticityStrength,
-    image_point,
     plemelj_velocity,
     pv_boundary_integral,
     velocity_at_point,
@@ -49,7 +47,12 @@ from .analysis import (
     log_bound_ratio,
 )
 from .evolve import RunSummary, SimConfig, SimState, contour_rhs, run, step
-from .muskat import solve_vorticity_equal, solve_vorticity_general, vorticity_rhs
+from .muskat import (
+    solve_vorticity,
+    solve_vorticity_equal,
+    solve_vorticity_general,
+    vorticity_rhs,
+)
 from .profiles import InitialSpec, build_initial
 from .waterwaves import WaveState, bracket_term, omega_rhs
 

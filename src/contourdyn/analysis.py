@@ -17,10 +17,11 @@ This module turns the continuation theory into checkable numbers:
 J is evaluated at an off-grid point, so its Cauchy singularity is subtracted
 analytically: the model singularity C/u integrates to an exact logarithm over
 the truncated interval (assigned to the far band) and the remainder is smooth
-enough for the trapezoid rule.  I and I-tilde are evaluated at a grid node with
-the punctured rule plus diagonal limits, and carry analytic flat-state tail
-corrections; the I-tilde tail is a Poisson integral that decays only like
-1/distance and must not be dropped.
+enough for the trapezoid rule.  I and I-tilde are one row of the kernel pair
+of the kernels module at a grid node, with densities d(z2)/ds and d(z1)/ds:
+the punctured rule plus the shared diagonal limit.  They carry analytic
+flat-state tail corrections; the I-tilde tail is a Poisson integral that
+decays only like 1/distance and must not be dropped.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import FitFailure, OutOfRegime, ValidationError
 from .geometry import (
@@ -36,11 +36,10 @@ from .geometry import (
     FloatArray,
     InterfaceCurve,
     PhysicalParams,
-    chord_arc_constant,
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength
+from .kernels import VorticityStrength, cauchy_pair, diagonal_limit
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,7 +177,7 @@ def depth_rate(
     c0, c1, c2 = holder_norms(curve)
     om_c0 = float(np.max(np.abs(omega.omega)))
     om_c1 = max(om_c0, float(np.max(np.abs(omega.d1))))
-    chord = chord_arc_constant(curve)
+    chord = curve.chord_arc
 
     band = grid.band_mask
     om_edge = max(float(np.max(np.abs(omega.omega[band]))), DECAY_TOL)
@@ -222,19 +221,13 @@ def log_bound_ratio(diag: DepthDiagnostics) -> float:
     return abs(diag.J) / (diag.m * np.log(1.0 / diag.m))
 
 
-def _node_evaluation_pieces(curve: InterfaceCurve, j_star: int):
+def _node_pair(curve: InterfaceCurve, j_star: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel pair at node j_star, punctured there."""
     curve.require_resolved()
-    grid = curve.grid
-    if not 0 <= j_star < grid.node_count:
+    if not 0 <= j_star < curve.grid.node_count:
         raise IndexError(f"node index {j_star} out of range")
-    z1, z2 = curve.z1, curve.z2
-    dz1 = z1[j_star] - z1
-    dz2 = z2[j_star] - z2
-    r2 = dz1 * dz1 + dz2 * dz2
-    r2[j_star] = 1.0
-    sz2 = z2[j_star] + z2
-    r2_im = dz1 * dz1 + sz2 * sz2
-    return dz1, dz2, sz2, r2, r2_im
+    k, k_mirror = cauchy_pair(curve, curve.z[[j_star]], [j_star])
+    return k[:, 0], k_mirror[:, 0]
 
 
 def _flat_tail(a: float, x: float, s_left: float, s_right: float) -> float:
@@ -250,22 +243,13 @@ def _flat_tail(a: float, x: float, s_left: float, s_right: float) -> float:
 
 def identity_I(curve: InterfaceCurve, j_star: int) -> float:
     """Flux integral of d(z2)/ds against the vertical kernel at node j_star."""
-    dz1, _, _, r2, r2_im = _node_evaluation_pieces(curve, j_star)
-    d1x, d1y = curve.d1
-    d2x, d2y = curve.d2
-    f_sing = d1y * dz1 / r2
-    f_sing[j_star] = 0.0
-    q0 = curve.speed_squared[j_star]
-    q1 = d1x[j_star] * d2x[j_star] + d1y[j_star] * d2y[j_star]
-    diag = (
-        -d2y[j_star] * d1x[j_star]
-        - 0.5 * d1y[j_star] * d2x[j_star]
-        + d1y[j_star] * d1x[j_star] * q1 / q0
-    ) / q0
+    k, k_mirror = _node_pair(curve, j_star)
+    _, d1y = curve.d1
+    _, d2y = curve.d2
     w = curve.grid.trapezoid_weights
-    grid_part = float(np.dot(w, f_sing - d1y * dz1 / r2_im)) + w[j_star] * diag
+    limit = diagonal_limit(curve, d1y, d2y)[j_star]
     # d(z2)/ds vanishes identically on the flat far field: no tail.
-    return grid_part
+    return float(np.real(np.dot(w * d1y, k - k_mirror) + w[j_star] * limit))
 
 
 def identity_Itilde(curve: InterfaceCurve, j_star: int) -> float:
@@ -274,20 +258,12 @@ def identity_Itilde(curve: InterfaceCurve, j_star: int) -> float:
     Includes the analytic Poisson tails of the exactly-flat far field; their
     1/distance decay dominates the truncation error if dropped.
     """
-    dz1, dz2, sz2, r2, r2_im = _node_evaluation_pieces(curve, j_star)
-    d1x, d1y = curve.d1
-    d2x, d2y = curve.d2
-    f_sing = d1x * dz2 / r2
-    f_sing[j_star] = 0.0
-    q0 = curve.speed_squared[j_star]
-    q1 = d1x[j_star] * d2x[j_star] + d1y[j_star] * d2y[j_star]
-    diag = (
-        -d2x[j_star] * d1y[j_star]
-        - 0.5 * d1x[j_star] * d2y[j_star]
-        + d1x[j_star] * d1y[j_star] * q1 / q0
-    ) / q0
+    k, k_mirror = _node_pair(curve, j_star)
+    d1x, _ = curve.d1
+    d2x, _ = curve.d2
     w = curve.grid.trapezoid_weights
-    grid_part = float(np.dot(w, f_sing + d1x * sz2 / r2_im)) + w[j_star] * diag
+    limit = diagonal_limit(curve, d1x, d2x)[j_star]
+    grid_part = -float(np.imag(np.dot(w * d1x, k + k_mirror) + w[j_star] * limit))
     alpha = curve.grid.alpha
     x = float(curve.z1[j_star])
     z2s = float(curve.z2[j_star])
@@ -320,6 +296,8 @@ def fit_double_exponential(
     (within ``fit_slack``), C is raised to the smallest certifying value, so
     the returned fit always certifies the series when one exists.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     t = np.asarray(t, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     if t.shape != m.shape or t.ndim != 1:
@@ -409,9 +387,6 @@ def continuation_report(
     _ = params  # physics currently informs no extra hypothesis quantity
     c0, c1, c2 = holder_norms(curve)
     om_c0 = float(np.max(np.abs(omega.omega)))
-    om_c1 = max(om_c0, float(np.max(np.abs(omega.d1))))
-    chord = chord_arc_constant(curve)
-    md = min_depth(curve)
     _, diag = depth_rate(curve, omega, t=t)
     try:
         ratio: float | None = log_bound_ratio(diag)
@@ -420,21 +395,21 @@ def continuation_report(
     exceeded = []
     if max(c0, c1, c2) > norm_cap:
         exceeded.append("curve_c2")
-    if om_c1 > norm_cap:
+    if diag.omega_c1_norm > norm_cap:
         exceeded.append("omega_c1")
-    if chord > chord_arc_cap:
+    if diag.chord_arc > chord_arc_cap:
         exceeded.append("chord_arc")
     verdict = "criteria satisfied" if not exceeded else "exceeded: " + ", ".join(exceeded)
     return ContinuationReport(
         t=float(t),
-        m=md.m,
-        alpha_star=md.alpha_star,
-        chord_arc=chord,
+        m=diag.m,
+        alpha_star=diag.alpha_star,
+        chord_arc=diag.chord_arc,
         curve_c0=c0,
         curve_c1=c1,
         curve_c2=c2,
         omega_c0=om_c0,
-        omega_c1=om_c1,
+        omega_c1=diag.omega_c1_norm,
         bound_ratio=ratio,
         exceeded=tuple(exceeded),
         verdict=verdict,

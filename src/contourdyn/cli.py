@@ -9,7 +9,7 @@ Subcommands:
 
 The tool is unconditionally deterministic: it uses no random state and stamps
 every output with the configuration hash, so identical configurations produce
-identical files.  ``--seed-free`` merely records that contract in the outputs.
+identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .io import (
     read_snapshots,
 )
 from .kernels import VorticityStrength
-from .muskat import solve_vorticity_equal, solve_vorticity_general
+from .muskat import solve_vorticity
 from .profiles import build_initial
 
 logger = logging.getLogger(__name__)
@@ -48,17 +48,10 @@ EXIT_RUNTIME = 3
 
 def initial_state(parsed: ParsedConfig) -> SimState:
     """Build the initial state; Muskat strength comes from the model closure."""
-    curve, omega = build_initial(parsed.initial, parsed.sim.grid)
-    if parsed.sim.params.model is Model.MUSKAT:
-        if abs(parsed.sim.params.viscosity_jump) <= 1e-14 * parsed.sim.params.viscosity_mean:
-            omega = solve_vorticity_equal(curve, parsed.sim.params)
-        else:
-            omega = solve_vorticity_general(
-                curve,
-                parsed.sim.params,
-                tol=parsed.sim.picard_tol,
-                max_iter=parsed.sim.picard_max_iter,
-            )
+    sim = parsed.sim
+    curve, omega = build_initial(parsed.initial, sim.grid)
+    if sim.params.model is Model.MUSKAT:
+        omega = solve_vorticity(curve, sim.params, sim.picard_tol, sim.picard_max_iter)
     return SimState(curve=curve, omega=omega, t=0.0)
 
 
@@ -78,7 +71,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     record = dataclasses.asdict(summary)
     record["config_sha256"] = parsed.sha256
     record["version"] = __version__
-    record["seed_free"] = True
     (outdir / "summary.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record))
     return EXIT_OK if summary.status == "completed" else EXIT_RUNTIME
@@ -88,12 +80,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
     snapshots = read_snapshots(args.infile)
     t, curve = snapshots[args.index]
-    params = parsed.sim.params
+    sim = parsed.sim
+    params = sim.params
     if params.model is Model.MUSKAT:
-        if abs(params.viscosity_jump) <= 1e-14 * params.viscosity_mean:
-            omega = solve_vorticity_equal(curve, params)
-        else:
-            omega = solve_vorticity_general(curve, params)
+        omega = solve_vorticity(curve, params, sim.picard_tol, sim.picard_max_iter)
         omega_source = "model closure"
     else:
         omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
@@ -158,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a full simulation")
     p_run.add_argument("--config", required=True, help="configuration file")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--seed-free", action="store_true", help="assert deterministic operation")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 

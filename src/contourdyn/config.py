@@ -63,7 +63,6 @@ _OUTPUT_KEYS = {
     "picard_max_iter": int,
     "implicit_tol": float,
     "implicit_max_iter": int,
-    "quadrature_tol": float,
     "contact_tol": float,
     "blowup_cap": float,
     "chord_arc_cap": float,
@@ -97,7 +96,6 @@ _DEFAULTS = {
         "picard_max_iter": 200,
         "implicit_tol": 1e-10,
         "implicit_max_iter": 50,
-        "quadrature_tol": 1e-4,
         "contact_tol": 1e-4,
         "blowup_cap": 1e3,
         "chord_arc_cap": 1e3,
@@ -224,7 +222,6 @@ def serialize_config(sim: SimConfig, initial: InitialSpec) -> str:
             "picard_max_iter": sim.picard_max_iter,
             "implicit_tol": sim.implicit_tol,
             "implicit_max_iter": sim.implicit_max_iter,
-            "quadrature_tol": sim.quadrature_tol,
             "contact_tol": sim.contact_tol,
             "blowup_cap": sim.blowup_cap,
             "chord_arc_cap": sim.chord_arc_cap,

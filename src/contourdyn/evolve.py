@@ -38,7 +38,6 @@ from .geometry import (
     InterfaceCurve,
     Model,
     PhysicalParams,
-    chord_arc_constant,
     far_field_mask,
     holder_norms,
     min_depth,
@@ -68,7 +67,6 @@ class SimConfig:
     picard_max_iter: int = muskat.PICARD_MAX_ITER
     implicit_tol: float = waterwaves.IMPLICIT_TOL
     implicit_max_iter: int = waterwaves.MAX_IMPLICIT_ITER
-    quadrature_tol: float = 1e-4
     contact_tol: float = CONTACT_TOL
     blowup_cap: float = BLOWUP_CAP
     chord_arc_cap: float = CHORD_ARC_CAP
@@ -138,18 +136,10 @@ def contour_rhs(
     return u, v
 
 
-def _solve_omega(curve: InterfaceCurve, config: SimConfig) -> VorticityStrength:
-    if abs(config.params.viscosity_jump) <= 1e-14 * config.params.viscosity_mean:
-        return muskat.solve_vorticity_equal(curve, config.params)
-    return muskat.solve_vorticity_general(
-        curve, config.params, tol=config.picard_tol, max_iter=config.picard_max_iter
-    )
-
-
 def _muskat_field(y: FloatArray, config: SimConfig, mask: FloatArray) -> FloatArray:
     curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
     curve.require_resolved()
-    omega = _solve_omega(curve, config)
+    omega = muskat.solve_vorticity(curve, config.params, config.picard_tol, config.picard_max_iter)
     u, v = contour_rhs(curve, omega)
     return np.stack((mask * u, mask * v))
 
@@ -188,12 +178,11 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
     worst = max(c0, c1, c2)
     if worst > config.blowup_cap:
         raise StabilityFailure(t_new, "curve C2 norm", worst)
-    chord = chord_arc_constant(curve)
-    if chord > config.chord_arc_cap:
-        raise StabilityFailure(t_new, "chord-arc constant", chord)
-    curve = InterfaceCurve(config.grid, y[0], y[1])  # full invariant check
+    if curve.chord_arc > config.chord_arc_cap:
+        raise StabilityFailure(t_new, "chord-arc constant", curve.chord_arc)
+    curve.check_invariants()
     if config.model is Model.MUSKAT:
-        omega = _solve_omega(curve, config)
+        omega = muskat.solve_vorticity(curve, config.params, config.picard_tol, config.picard_max_iter)
     else:
         omega = VorticityStrength(config.grid, y[2])
     return SimState(curve=curve, omega=omega, t=t_new)

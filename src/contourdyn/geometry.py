@@ -191,9 +191,10 @@ class InterfaceCurve:
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "z2", z2)
         if self.validate:
-            self._check_invariants()
+            self.check_invariants()
 
-    def _check_invariants(self) -> None:
+    def check_invariants(self) -> None:
+        """Raise ValidationError unless finite, above the bottom and flat far out."""
         if not (np.all(np.isfinite(self.z1)) and np.all(np.isfinite(self.z2))):
             raise ValidationError("curve samples must be finite")
         if np.any(self.z2 <= 0.0):
@@ -227,6 +228,18 @@ class InterfaceCurve:
         )
 
     @cached_property
+    def z(self) -> np.ndarray:
+        """Complex samples z1 + i z2."""
+        z = self.z1 + 1j * self.z2
+        z.flags.writeable = False
+        return z
+
+    @cached_property
+    def chord_arc(self) -> float:
+        """chord_arc_constant of this curve, computed once."""
+        return chord_arc_constant(self)
+
+    @cached_property
     def speed_squared(self) -> FloatArray:
         d1x, d1y = self.d1
         return d1x * d1x + d1y * d1y
@@ -238,15 +251,6 @@ class InterfaceCurve:
             raise DegenerateParametrization(
                 f"|dz/dalpha| < {ARC_FLOOR:.1e} at node {j} (alpha = {self.grid.alpha[j]:.6g})"
             )
-
-
-def derivative(curve: InterfaceCurve, order: int) -> tuple[FloatArray, FloatArray]:
-    """Nodewise derivatives (d^k z1, d^k z2) for k = order in {1, 2}."""
-    if order == 1:
-        return curve.d1
-    if order == 2:
-        return curve.d2
-    raise ValueError(f"order must be 1 or 2, got {order}")
 
 
 def curvature(curve: InterfaceCurve) -> FloatArray:

@@ -1,25 +1,45 @@
 """Half-plane velocity kernel with mirror term and its boundary limits.
 
-The velocity induced by a vortex sheet of strength omega on the curve is
+In complex form (the Birkhoff-Rott vortex-sheet form of Baker, Meiron and
+Orszag), a sheet of strength omega on the curve z(s) = z1(s) + i z2(s)
+induces at a point t the conjugate velocity
 
-    u(p) = (1/2pi) int [ K(p, z(s)) - K(p, zbar(s)) ] omega(s) ds,
+    u - i v = (1/2 pi i) int [ 1/(t - z(s)) - 1/(t - zbar(s)) ] omega(s) ds.
 
-with K(p, q) = (p - q)^perp / |p - q|^2, (a, b)^perp = (-b, a), and
-zbar(s) = (z1(s), -z2(s)) the reflection of the source across the bottom.
-The mirror term makes the vertical velocity vanish identically on y = 0.
+The mirror source zbar(s) = z1(s) - i z2(s), reflected across the bottom,
+makes the vertical velocity vanish identically on y = 0.  The sheet velocity
+and the flux integrals I and I-tilde of the analysis module are weighted sums
+over this one Cauchy pair (cauchy_pair), with sources down the first axis and
+targets across the second.  (The depth rate J keeps its own off-grid form,
+which avoids the cancellation between the pair at small depth.)
 
 On the curve itself the first kernel is Cauchy-singular.  The principal value
 is computed by the punctured trapezoid rule (the singular node is omitted, so
-the odd 1/u part cancels by symmetry) plus the analytic diagonal limit of the
-kernel's regular part; without that limit term the omitted node costs one full
-order of accuracy.  The rule is second order on C^2 data; beyond the grid the
-integrand is dropped, which the far-field decay of omega justifies.
+the odd 1/u part cancels by symmetry) plus the regular part of the integrand
+at the omitted node.  For any density f that regular part is
+
+    R[f] = f z'' / (2 z'^2) - f' / z',
+
+the constant term of f(s) / (z(alpha) - z(s)) as s -> alpha (diagonal_limit);
+without it the omitted node costs one full order of accuracy.  The rule is
+second order on C^2 data; beyond the grid the integrand is dropped, which the
+far-field decay of omega justifies.
+
+pv_all_nodes applies one complex N x N operator, the pair difference with the
+trapezoid weights and 1/(2 pi i) folded in.  It depends on the curve only, so
+it is built once per curve and held in a one-entry cache keyed on the curve
+object: a Picard solve, an implicit rate iteration and the repeated velocity
+calls of one right-hand side all share one assembly.  The cache holds one
+entry, not one per curve, because states and snapshot consumers keep curves
+alive, and an operator kept with each of them would add 16 N^2 bytes apiece
+to peak memory.  Single-node and off-curve evaluations form one O(N) row of
+the same pair and leave the cache alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +47,7 @@ import numpy as np
 from .errors import TooCloseToCurve, ValidationError
 from .geometry import DECAY_TOL, FloatArray, Grid, InterfaceCurve, fd_derivative
 
-TWO_PI = 2.0 * np.pi
+INV_2PI_I = 1.0 / (2j * np.pi)
 
 # Off-curve evaluation is refused inside this many grid cells of the curve
 # (scaled by max |dz/dalpha|); inside the collar the quadrature is silently
@@ -74,12 +94,6 @@ class VorticityStrength:
         return fd_derivative(self.omega, self.grid.spacing, 1, edge_value=0.0)
 
 
-def image_point(p) -> tuple[float, float]:
-    """Reflection across the bottom: (x, y) -> (x, -y)."""
-    x, y = float(p[0]), float(p[1])
-    return (x, -y)
-
-
 def near_field_tol(curve: InterfaceCurve) -> float:
     """Radius of the collar inside which off-curve evaluation is refused."""
     return NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
@@ -90,6 +104,62 @@ def _require_shared_grid(curve: InterfaceCurve, omega: VorticityStrength) -> Non
         raise ValidationError("curve and omega must share the same grid")
 
 
+def cauchy_pair(
+    curve: InterfaceCurve, t: np.ndarray, nodes=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels 1/(t - z(s_k)) and 1/(t - zbar(s_k)), shape (N, len(t)).
+
+    Sources run down the first axis, targets ``t`` across the second.  For
+    on-curve targets, ``nodes[i]`` is the node that t[i] sits on; the first
+    kernel is punctured there (exactly zero).
+    """
+    z = curve.z[:, None]
+    k = t - z
+    if nodes is not None:
+        k[nodes, np.arange(len(nodes))] = np.inf  # reciprocal gives 0, no warning
+    np.reciprocal(k, out=k)
+    k_mirror = t - np.conj(z)
+    np.reciprocal(k_mirror, out=k_mirror)
+    return k, k_mirror
+
+
+def diagonal_limit(curve: InterfaceCurve, f: FloatArray, df: FloatArray) -> np.ndarray:
+    """R[f] = f z''/(2 z'^2) - f'/z' at every node: the punctured node's value."""
+    d1x, d1y = curve.d1
+    d2x, d2y = curve.d2
+    dz = d1x + 1j * d1y
+    return (0.5 * f * (d2x + 1j * d2y) / dz - df) / dz
+
+
+def _sheet_rows(curve: InterfaceCurve, t: np.ndarray, nodes=None) -> np.ndarray:
+    """Weighted kernel w_k (1/(t - z_k) - 1/(t - zbar_k)) / (2 pi i), sources down."""
+    k, k_mirror = cauchy_pair(curve, t, nodes)
+    k -= k_mirror
+    del k_mirror
+    k *= (curve.grid.trapezoid_weights * INV_2PI_I)[:, None]
+    return k
+
+
+@lru_cache(maxsize=1)
+def _node_operator(curve: InterfaceCurve) -> np.ndarray:
+    """The sheet operator at every node, punctured on the diagonal."""
+    nodes = np.arange(curve.grid.node_count)
+    op = _sheet_rows(curve, curve.z, nodes)
+    op.flags.writeable = False
+    return op
+
+
+def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
+    """omega @ rows as one real product: the complex columns are (re, im) pairs."""
+    return (omega @ rows.view(np.float64)).view(np.complex128)
+
+
+def _conjugate_pv(curve: InterfaceCurve, omega: VorticityStrength, rows: np.ndarray, nodes):
+    """u - iv at the on-curve targets ``nodes``, given their punctured rows."""
+    limit = diagonal_limit(curve, omega.omega, omega.d1)[nodes]
+    return _apply(rows, omega.omega) + curve.grid.trapezoid_weights[nodes] * limit * INV_2PI_I
+
+
 def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Velocity2:
     """Velocity at a point strictly off the curve (trapezoid quadrature).
 
@@ -97,66 +167,13 @@ def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Vel
     must use plemelj_velocity instead.
     """
     _require_shared_grid(curve, omega)
-    x, y = float(p[0]), float(p[1])
-    dx = x - curve.z1
-    dy = y - curve.z2
-    dist = float(np.min(np.hypot(dx, dy)))
+    t = complex(float(p[0]), float(p[1]))
+    dist = float(np.min(np.abs(t - curve.z)))
     tol = near_field_tol(curve)
     if dist < tol:
         raise TooCloseToCurve(dist, tol)
-    r2 = dx * dx + dy * dy
-    dy_im = y + curve.z2
-    r2_im = dx * dx + dy_im * dy_im
-    w = curve.grid.trapezoid_weights * omega.omega
-    u = float(np.dot(w, -dy / r2 - (-dy_im / r2_im))) / TWO_PI
-    v = float(np.dot(w, dx / r2 - dx / r2_im)) / TWO_PI
-    return Velocity2(u, v)
-
-
-def _diagonal_limits(curve: InterfaceCurve, omega: VorticityStrength) -> tuple[FloatArray, FloatArray]:
-    """Regular part of K(z(alpha), z(s)) * omega(s) as s -> alpha, nodewise.
-
-    With u = alpha - s the singular kernel expands as
-
-        K1 * omega = omega * dz^perp / (Q0 u) + R + O(u),
-        R = ( -omega' * dz^perp + omega * (dz^perp * Q1/Q0 - d2z^perp / 2) ) / Q0,
-
-    where Q0 = |dz|^2 and Q1 = dz . d2z.  R is the value the punctured
-    trapezoid rule must insert at the omitted node.
-    """
-    d1x, d1y = curve.d1
-    d2x, d2y = curve.d2
-    q0 = curve.speed_squared
-    q1 = d1x * d2x + d1y * d2y
-    om = omega.omega
-    dom = omega.d1
-    # perp of (a, b) is (-b, a)
-    ru = (-dom * (-d1y) + om * ((-d1y) * q1 / q0 - 0.5 * (-d2y))) / q0
-    rv = (-dom * d1x + om * (d1x * q1 / q0 - 0.5 * d2x)) / q0
-    return ru, rv
-
-
-def _pv_components(
-    curve: InterfaceCurve, omega: VorticityStrength, j: int
-) -> tuple[float, float]:
-    """Principal-value velocity integral (times 2pi) at node j."""
-    z1, z2 = curve.z1, curve.z2
-    dx = z1[j] - z1
-    dy = z2[j] - z2
-    r2 = dx * dx + dy * dy
-    r2[j] = 1.0  # dummy; node j is omitted from the singular sum
-    sy = z2[j] + z2
-    r2_im = dx * dx + sy * sy
-    w = curve.grid.trapezoid_weights
-    wom = w * omega.omega
-    ku = -dy / r2
-    kv = dx / r2
-    ku[j] = 0.0
-    kv[j] = 0.0
-    ru, rv = _diagonal_limits(curve, omega)
-    u = float(np.dot(wom, ku) + w[j] * ru[j] - np.dot(wom, -sy / r2_im))
-    v = float(np.dot(wom, kv) + w[j] * rv[j] - np.dot(wom, dx / r2_im))
-    return u, v
+    w = _apply(_sheet_rows(curve, np.array([t])), omega.omega)[0]
+    return Velocity2(float(w.real), float(-w.imag))
 
 
 def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> Velocity2:
@@ -165,36 +182,20 @@ def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int
     curve.require_resolved()
     if not 0 <= j < curve.grid.node_count:
         raise IndexError(f"node index {j} out of range")
-    u, v = _pv_components(curve, omega, j)
-    return Velocity2(u / TWO_PI, v / TWO_PI)
+    w = _conjugate_pv(curve, omega, _sheet_rows(curve, curve.z[[j]], [j]), [j])[0]
+    return Velocity2(float(w.real), float(-w.imag))
 
 
 def pv_all_nodes(curve: InterfaceCurve, omega: VorticityStrength) -> tuple[FloatArray, FloatArray]:
-    """Principal-value velocity at every node (vectorized over targets).
+    """Principal-value velocity (u, v) at every node.
 
-    Builds O(N^2) difference matrices; intended for the evolution grids
-    (N up to a few thousand), not for one-off evaluations on fine grids.
+    Applies the curve's cached N x N operator; only the first call per curve
+    pays the O(N^2) assembly.
     """
     _require_shared_grid(curve, omega)
     curve.require_resolved()
-    z1, z2 = curve.z1, curve.z2
-    n = z1.size
-    dx = z1[:, None] - z1[None, :]
-    dy = z2[:, None] - z2[None, :]
-    r2 = dx * dx + dy * dy
-    np.fill_diagonal(r2, 1.0)
-    sy = z2[:, None] + z2[None, :]
-    r2_im = dx * dx + sy * sy
-    wom = curve.grid.trapezoid_weights * omega.omega
-    ku = -dy / r2
-    kv = dx / r2
-    np.fill_diagonal(ku, 0.0)
-    np.fill_diagonal(kv, 0.0)
-    ru, rv = _diagonal_limits(curve, omega)
-    w_diag = curve.grid.trapezoid_weights
-    u = (ku @ wom + w_diag * ru - (-sy / r2_im) @ wom) / TWO_PI
-    v = (kv @ wom + w_diag * rv - (dx / r2_im) @ wom) / TWO_PI
-    return u, v
+    w = _conjugate_pv(curve, omega, _node_operator(curve), slice(None))
+    return w.real, -w.imag
 
 
 def plemelj_velocity(

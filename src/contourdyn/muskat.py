@@ -20,8 +20,6 @@ masked discrete equation.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import NoConvergence, ValidationError
@@ -35,8 +33,6 @@ from .geometry import (
     fd_derivative,
 )
 from .kernels import VorticityStrength, pv_all_nodes
-
-logger = logging.getLogger(__name__)
 
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
@@ -123,15 +119,20 @@ def solve_vorticity_general(
         if diff <= tol:
             result = VorticityStrength(curve.grid, omega_arr)
             result.iterations = iteration
-            if logger.isEnabledFor(logging.DEBUG):
-                logger.debug(
-                    "picard converged in %d iterations (last update %.3e, residual %.3e)",
-                    iteration,
-                    diff,
-                    vorticity_residual(curve, params, result),
-                )
             return result
     raise NoConvergence(max_iter, diff, what="viscosity-contrast Picard iteration")
+
+
+def solve_vorticity(
+    curve: InterfaceCurve,
+    params: PhysicalParams,
+    tol: float = PICARD_TOL,
+    max_iter: int = PICARD_MAX_ITER,
+) -> VorticityStrength:
+    """Strength from the closure: explicit for equal viscosities, Picard otherwise."""
+    if abs(params.viscosity_jump) <= 1e-14 * params.viscosity_mean:
+        return solve_vorticity_equal(curve, params)
+    return solve_vorticity_general(curve, params, tol=tol, max_iter=max_iter)
 
 
 def vorticity_residual(

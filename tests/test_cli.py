@@ -78,7 +78,7 @@ class TestRun:
         assert len(snaps) >= 2
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "completed"
-        assert summary["seed_free"] is True
+        assert "seed_free" not in summary
 
     def test_header_block(self, flat_cfg, tmp_path):
         out = tmp_path / "out"
@@ -179,6 +179,23 @@ class TestAnalyze:
         assert record["verdict"] == "criteria satisfied"
         assert abs(record["identity_Itilde"] - record["identity_I"] - np.pi) < 1e-3
         assert record["omega_source"] == "model closure"
+
+    def test_analyze_uses_config_picard_budget(self, tmp_path, capsys):
+        # the closure solve in analyze obeys the config's Picard settings
+        contrast = STABLE_CFG.replace(
+            "rho_minus = 2.0\n", "rho_minus = 2.0\nmu_plus = 2.0\nmu_minus = 0.5\n"
+        )
+        cfg = tmp_path / "contrast.cfg"
+        cfg.write_text(contrast)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        starved = tmp_path / "starved.cfg"
+        starved.write_text(contrast + "picard_max_iter = 1\n")
+        capsys.readouterr()
+        code = main(["analyze", "--config", str(starved), "--in", str(out / "snapshots.jsonl")])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NoConvergence"
 
 
 class TestIdentity:

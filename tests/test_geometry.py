@@ -15,7 +15,6 @@ from contourdyn.geometry import (
     curvature,
     curve_from_record,
     curve_record,
-    derivative,
     holder_norms,
     min_depth,
 )
@@ -93,8 +92,8 @@ class TestCurveInvariants:
 class TestDerivative:
     def test_flat_curve(self, grid256):
         flat = InterfaceCurve(grid256, grid256.alpha.copy(), np.ones(grid256.node_count))
-        d1x, d1y = derivative(flat, 1)
-        d2x, d2y = derivative(flat, 2)
+        d1x, d1y = flat.d1
+        d2x, d2y = flat.d2
         assert np.allclose(d1x, 1.0, atol=1e-13)
         assert np.allclose(d1y, 0.0, atol=1e-13)
         assert np.allclose(d2x, 0.0, atol=1e-12)
@@ -102,7 +101,7 @@ class TestDerivative:
 
     def test_cosine_derivative_at_origin(self):
         curve = trig_curve(512)
-        _, d1y = derivative(curve, 1)
+        _, d1y = curve.d1
         j0 = curve.grid.node_count // 2
         h = curve.grid.spacing
         # d z2 / d alpha = -0.1 sin(alpha) = 0 at alpha = 0, to O(h^4)
@@ -112,7 +111,7 @@ class TestDerivative:
         errs = []
         for n in (256, 512):
             curve = trig_curve(n)
-            _, d1y = derivative(curve, 1)
+            _, d1y = curve.d1
             g = curve.grid
             w = plateau_window(g.alpha, 6.0, 6.0)
             exact = -0.1 * np.sin(g.alpha)

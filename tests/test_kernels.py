@@ -1,16 +1,24 @@
 """Singular-integral core: mirror kernel, principal values, one-sided limits."""
 
+import dataclasses
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from contourdyn import kernels
+from contourdyn.analysis import identity_defect
+from contourdyn.cli import initial_state
+from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import TooCloseToCurve, ValidationError
+from contourdyn.evolve import step
 from contourdyn.geometry import Grid, InterfaceCurve
 from contourdyn.kernels import (
     VorticityStrength,
-    image_point,
     plemelj_velocity,
     pv_all_nodes,
     pv_boundary_integral,
@@ -23,21 +31,6 @@ from conftest import bump_curve, gaussian_strength, random_smooth_pair
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
     return InterfaceCurve(grid, grid.alpha.copy(), np.ones(grid.node_count))
-
-
-class TestImagePoint:
-    def test_reflection(self):
-        assert image_point((0.0, 1.0)) == (0.0, -1.0)
-
-    def test_bottom_fixed(self):
-        assert image_point((3.0, 0.0)) == (3.0, 0.0)
-
-    @given(
-        x=st.floats(allow_nan=False, allow_infinity=False, width=32),
-        y=st.floats(allow_nan=False, allow_infinity=False, width=32),
-    )
-    def test_involution(self, x, y):
-        assert image_point(image_point((x, y))) == (x, y)
 
 
 class TestVelocityAtPoint:
@@ -262,3 +255,64 @@ def test_pv_translation_equivariance(shift):
     v0 = np.array(pv_boundary_integral(curve, omega, 64))
     v1 = np.array(pv_boundary_integral(shifted, omega, 64))
     assert np.allclose(v0, v1, rtol=0.0, atol=1e-11)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestOneOperator:
+    @pytest.mark.parametrize(
+        "config, physics, builds",
+        [
+            ("stable_relaxation.cfg", {}, 4),
+            ("stable_relaxation.cfg", {"mu_plus": 2.0, "mu_minus": 0.5}, 5),
+            ("internal_wave.cfg", {}, 8),
+        ],
+        ids=["equal", "contrast", "waves"],
+    )
+    def test_assemblies_per_step(self, monkeypatch, config, physics, builds):
+        # one operator per distinct curve: the four RK stages, plus the
+        # accepted curve's closure solve (contrast) or the probe curve of
+        # each implicit rate (waves)
+        parsed = with_grid(parse_config(str(CONFIGS / config)), 128)
+        if physics:
+            params = dataclasses.replace(parsed.sim.params, **physics)
+            parsed = dataclasses.replace(
+                parsed, sim=dataclasses.replace(parsed.sim, params=params)
+            )
+        state = initial_state(parsed)
+        n = parsed.sim.grid.node_count
+        targets = []
+        original = kernels.cauchy_pair
+
+        def spy(curve, t, nodes=None):
+            targets.append(len(t))
+            return original(curve, t, nodes)
+
+        kernels._node_operator.cache_clear()
+        monkeypatch.setattr(kernels, "cauchy_pair", spy)
+        step(state, parsed.sim)
+        assert targets == [n] * builds
+
+    def test_cache_never_serves_another_curve(self, grid256):
+        curve_a = bump_curve(grid256, 0.25)
+        curve_b = bump_curve(grid256, -0.2, z1_amp=0.1)
+        omega = gaussian_strength(grid256, amplitude=0.8, center=0.7)
+        first = pv_all_nodes(curve_a, omega)
+        other = pv_all_nodes(curve_b, omega)
+        again = pv_all_nodes(curve_a, omega)
+        assert not np.array_equal(first[0], other[0])
+        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+        assert kernels._node_operator.cache_info().currsize == 1
+
+    def test_no_runtime_warnings(self, grid256):
+        curve = bump_curve(grid256, 0.3)
+        omega = gaussian_strength(grid256, amplitude=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels._node_operator.cache_clear()
+            pv_all_nodes(curve, omega)
+            pv_boundary_integral(curve, omega, 128)
+            plemelj_velocity(curve, omega, 100, "plus")
+            velocity_at_point(curve, omega, (0.5, 3.0))
+            identity_defect(curve)
