@@ -144,30 +144,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--verbose", action="store_true")
 
-    p_run = sub.add_parser("run", help="run a full simulation")
+    p_run = sub.add_parser("run", help="run a full simulation", parents=[common])
     p_run.add_argument("--config", required=True, help="configuration file")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    p_an = sub.add_parser("analyze", help="diagnostics for one stored snapshot")
+    p_an = sub.add_parser("analyze", help="diagnostics for one stored snapshot", parents=[common])
     p_an.add_argument("--config", required=True)
     p_an.add_argument("--in", dest="infile", required=True, help="snapshots.jsonl path")
     p_an.add_argument("--index", type=int, default=-1, help="snapshot index (default: last)")
-    p_an.add_argument("--verbose", action="store_true")
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_id = sub.add_parser("identity", help="flux-identity defect refinement sweep")
+    p_id = sub.add_parser(
+        "identity", help="flux-identity defect refinement sweep", parents=[common]
+    )
     p_id.add_argument("--config", required=True)
     p_id.add_argument("--out", default=None, help="optional output directory")
-    p_id.add_argument("--verbose", action="store_true")
     p_id.set_defaults(func=_cmd_identity)
 
-    p_fit = sub.add_parser("fit", help="double-exponential bound fit of a diagnostics CSV")
+    p_fit = sub.add_parser(
+        "fit", help="double-exponential bound fit of a diagnostics CSV", parents=[common]
+    )
     p_fit.add_argument("--in", dest="infile", required=True, help="diagnostics.csv path")
     p_fit.add_argument("--slack", type=float, default=1e-2, help="certificate slack")
-    p_fit.add_argument("--verbose", action="store_true")
     p_fit.set_defaults(func=_cmd_fit)
     return parser
 
@@ -175,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -8,7 +8,9 @@ truncated quadratures well defined (analytic tail corrections become exact) and
 gives the finite-difference stencils known boundary values.
 
 All operations here are pure functions of immutable samples; derived arrays are
-cached on the owning object and are safe to share across threads.
+cached on the owning object and are safe to share across threads.  The one
+O(N^2) pass, chord_arc_constant, walks the node pairs by parameter offset in
+blocks, so its memory stays O(block N) at any N.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateParametrization, SelfIntersection, ValidationError
 
@@ -25,6 +29,8 @@ DECAY_TOL = 1e-10
 DECAY_BAND = 8
 ARC_FLOOR = 1e-8
 COLLISION_TOL = 1e-10
+# Parameter offsets per block of the chord-arc pass.
+CHORD_ARC_BLOCK = 64
 
 FloatArray = np.ndarray
 
@@ -261,43 +267,47 @@ def curvature(curve: InterfaceCurve) -> FloatArray:
     return (d1x * d2y - d1y * d2x) / curve.speed_squared**1.5
 
 
-def chord_arc_constant(curve: InterfaceCurve, block: int = 2048) -> float:
+def chord_arc_constant(curve: InterfaceCurve) -> float:
     """Max over node pairs of parameter distance over chord length.
 
-    Runs blockwise to keep the O(N^2) pairwise pass memory bounded.  Raises
-    SelfIntersection if any pair of distinct nodes is closer than COLLISION_TOL.
+    Walks the pairs (i, i + k) once, CHORD_ARC_BLOCK offsets k at a time, in
+    O(block N) memory; every pair at offset k is k h apart in alpha, so only
+    the shortest chord per offset matters.  Raises SelfIntersection if any
+    pair of distinct nodes is closer than COLLISION_TOL.
     """
-    alpha = curve.grid.alpha
     z1, z2 = curve.z1, curve.z2
-    n = alpha.size
+    n = z1.size
+    # Nodes past the end sit at infinity: their chords never win or collide.
+    far = np.full(CHORD_ARC_BLOCK - 1, np.inf)
+    z1_far, z2_far = np.concatenate((z1, far)), np.concatenate((z2, far))
     worst = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        da = alpha[start:stop, None] - alpha[None, :]
-        dx = z1[start:stop, None] - z1[None, :]
-        dy = z2[start:stop, None] - z2[None, :]
-        dist = np.hypot(dx, dy)
-        rows = np.arange(start, stop)
-        dist[rows - start, rows] = np.inf  # exclude i == j
-        if float(dist.min()) < COLLISION_TOL:
-            i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    for k0 in range(1, n, CHORD_ARC_BLOCK):
+        m = n - k0
+        # row r holds the squared chords of the pairs (i, i + k0 + r), i < m
+        d2 = sliding_window_view(z1_far[k0:], m) - z1[:m]
+        dy = sliding_window_view(z2_far[k0:], m) - z2[:m]
+        d2 *= d2
+        d2 += dy * dy
+        shortest = d2.min(axis=1)
+        if float(shortest.min()) < COLLISION_TOL * COLLISION_TOL:
+            r = int(np.argmin(shortest))
+            i = int(np.argmin(d2[r]))
             raise SelfIntersection(
-                f"nodes {start + i} and {j} are {dist[i, j]:.3e} apart (< {COLLISION_TOL:.1e})"
+                f"nodes {i} and {i + k0 + r} are {np.sqrt(d2[r, i]):.3e} apart "
+                f"(< {COLLISION_TOL:.1e})"
             )
-        worst = max(worst, float(np.max(np.abs(da) / dist)))
-    return worst
+        offsets = np.arange(k0, k0 + shortest.size, dtype=np.float64)
+        worst = max(worst, float(np.max(offsets * offsets / shortest)))
+    return curve.grid.spacing * float(np.sqrt(worst))
 
 
-class MinDepth(tuple):
-    """(m, alpha_star, index) triple with the discrete-argmin tie count attached."""
+class MinDepth(NamedTuple):
+    """Refined minimum depth, its location, the discrete argmin and its tie count."""
 
-    def __new__(cls, m: float, alpha_star: float, index: int, tie_count: int):
-        self = super().__new__(cls, (m, alpha_star, index))
-        self.m = m
-        self.alpha_star = alpha_star
-        self.index = index
-        self.tie_count = tie_count
-        return self
+    m: float
+    alpha_star: float
+    index: int
+    tie_count: int
 
 
 def min_depth(curve: InterfaceCurve) -> MinDepth:

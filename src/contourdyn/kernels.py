@@ -8,10 +8,12 @@ induces at a point t the conjugate velocity
 
 The mirror source zbar(s) = z1(s) - i z2(s), reflected across the bottom,
 makes the vertical velocity vanish identically on y = 0.  The sheet velocity
-and the flux integrals I and I-tilde of the analysis module are weighted sums
-over this one Cauchy pair (cauchy_pair), with sources down the first axis and
-targets across the second.  (The depth rate J keeps its own off-grid form,
-which avoids the cancellation between the pair at small depth.)
+uses the exact product form (z - zbar) / ((t - z)(t - zbar)) of the pair: one
+complex reciprocal per pair times the real scale w z2 / pi, and no cancellation
+between the two kernels near the bottom.  The flux integrals I and I-tilde of
+the analysis module need the kernels apart (cauchy_pair, sources down the first
+axis, targets across the second).  (The depth rate J keeps its own off-grid
+form, which avoids the cancellation between the pair at small depth.)
 
 On the curve itself the first kernel is Cauchy-singular.  The principal value
 is computed by the punctured trapezoid rule (the singular node is omitted, so
@@ -26,20 +28,21 @@ second order on C^2 data; beyond the grid the integrand is dropped, which the
 far-field decay of omega justifies.
 
 pv_all_nodes applies one complex N x N operator, the pair difference with the
-trapezoid weights and 1/(2 pi i) folded in.  It depends on the curve only, so
-it is built once per curve and held in a one-entry cache keyed on the curve
-object: a Picard solve, an implicit rate iteration and the repeated velocity
-calls of one right-hand side all share one assembly.  The cache holds one
-entry, not one per curve, because states and snapshot consumers keep curves
-alive, and an operator kept with each of them would add 16 N^2 bytes apiece
-to peak memory.  Single-node and off-curve evaluations form one O(N) row of
-the same pair and leave the cache alone.
+trapezoid weights and 1/(2 pi i) folded in, filled in place in row blocks so
+it is the only N x N array an assembly allocates.  It depends on the curve
+only, so it is built once per curve and held in a one-slot cache keyed on the
+curve object: a Picard solve, an implicit rate iteration and the repeated
+velocity calls of one right-hand side all share one assembly.  The slot drops
+the old operator before building the new one, so peak memory is one operator
+of 16 N^2 bytes; it holds one entry, not one per curve, because states and
+snapshot consumers keep curves alive.  Single-node and off-curve evaluations
+form one O(N) row of the same product form and leave the cache alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +56,10 @@ INV_2PI_I = 1.0 / (2j * np.pi)
 # (scaled by max |dz/dalpha|); inside the collar the quadrature is silently
 # inaccurate, so callers must switch to the one-sided limits.
 NEAR_FIELD_CELLS = 3.0
+
+# Source rows per assembly block, so a block's temporaries stay in cache: 16
+# rows measured fastest at N = 2048 and within noise of 32-256 at N = 256.
+OPERATOR_BLOCK = 16
 
 
 class Velocity2(NamedTuple):
@@ -131,22 +138,53 @@ def diagonal_limit(curve: InterfaceCurve, f: FloatArray, df: FloatArray) -> np.n
     return (0.5 * f * (d2x + 1j * d2y) / dz - df) / dz
 
 
-def _sheet_rows(curve: InterfaceCurve, t: np.ndarray, nodes=None) -> np.ndarray:
-    """Weighted kernel w_k (1/(t - z_k) - 1/(t - zbar_k)) / (2 pi i), sources down."""
-    k, k_mirror = cauchy_pair(curve, t, nodes)
-    k -= k_mirror
-    del k_mirror
-    k *= (curve.grid.trapezoid_weights * INV_2PI_I)[:, None]
-    return k
+def _sheet_rows(curve: InterfaceCurve, t: np.ndarray, sources=slice(None), puncture=(), out=None):
+    """w_k (1/(t - z_k) - 1/(t - zbar_k)) / (2 pi i) = (w_k z2_k / pi) / ((t - z_k)(t - zbar_k)).
+
+    Sources run down, targets ``t`` across.  At the (row, column) positions
+    ``puncture`` the target sits on the source node; there t - z_k becomes
+    zbar_k - z_k, which leaves the mirror-only value w_k / (4 pi z2_k).
+    """
+    z = curve.z[sources, None]
+    rows = np.subtract(t, z, out=out)
+    if puncture:
+        rows[puncture] = -2j * curve.z2[sources][puncture[0]]
+    rows *= t - np.conj(z)
+    np.reciprocal(rows, out=rows)
+    scale = curve.grid.trapezoid_weights[sources] * curve.z2[sources] / np.pi
+    rows.view(np.float64)[...] *= scale[:, None]
+    return rows
 
 
-@lru_cache(maxsize=1)
-def _node_operator(curve: InterfaceCurve) -> np.ndarray:
-    """The sheet operator at every node, punctured on the diagonal."""
-    nodes = np.arange(curve.grid.node_count)
-    op = _sheet_rows(curve, curve.z, nodes)
-    op.flags.writeable = False
-    return op
+class _OperatorSlot:
+    """One-slot cache of the node operator; ``assemblies`` counts every build."""
+
+    def __init__(self) -> None:
+        self._entry: tuple[InterfaceCurve, np.ndarray] | None = None
+        self.assemblies = 0
+
+    def clear(self) -> None:
+        self._entry = None
+
+    def __call__(self, curve: InterfaceCurve) -> np.ndarray:
+        """The sheet operator at every node, punctured on the diagonal."""
+        entry = self._entry
+        if entry is None or entry[0] is not curve:
+            # No reference to the old operator may survive into the build.
+            entry = self._entry = None
+            n = curve.grid.node_count
+            op = np.empty((n, n), dtype=np.complex128)
+            for start in range(0, n, OPERATOR_BLOCK):
+                block = slice(start, min(start + OPERATOR_BLOCK, n))
+                diag = np.arange(block.stop - start)
+                _sheet_rows(curve, curve.z, block, (diag, diag + start), op[block])
+            op.flags.writeable = False
+            entry = self._entry = (curve, op)
+            self.assemblies += 1
+        return entry[1]
+
+
+_node_operator = _OperatorSlot()
 
 
 def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
@@ -182,7 +220,7 @@ def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int
     curve.require_resolved()
     if not 0 <= j < curve.grid.node_count:
         raise IndexError(f"node index {j} out of range")
-    w = _conjugate_pv(curve, omega, _sheet_rows(curve, curve.z[[j]], [j]), [j])[0]
+    w = _conjugate_pv(curve, omega, _sheet_rows(curve, curve.z[[j]], puncture=([j], [0])), [j])[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 

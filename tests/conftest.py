@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ def random_smooth_pair(grid: Grid, rng: np.random.Generator,
         z1 = z1 + (curve_scale / 8.0) * b * np.cos(0.5 * k * grid.alpha + pb) * w
         om = om + (omega_scale / 4.0) * c * np.cos(0.9 * k * grid.alpha + pc) * w
     return InterfaceCurve(grid, z1, z2), VorticityStrength(grid, om)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from contourdyn.cli import main
+from contourdyn.cli import _build_parser, main
 from contourdyn.io import read_diagnostics, read_snapshots
 
 FLAT_CFG = """
@@ -65,6 +65,19 @@ def stable_cfg(tmp_path):
     path = tmp_path / "stable.cfg"
     path.write_text(STABLE_CFG)
     return str(path)
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, verbose",
+        [
+            (["run", "--config", "x.cfg", "--verbose"], True),
+            (["fit", "--in", "d.csv", "--verbose"], True),
+            (["identity", "--config", "x.cfg"], False),
+        ],
+    )
+    def test_verbose_after_subcommand(self, argv, verbose):
+        assert _build_parser().parse_args(argv).verbose is verbose
 
 
 class TestRun:

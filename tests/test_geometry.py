@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contourdyn.errors import SelfIntersection, ValidationError
 from contourdyn.geometry import (
+    CHORD_ARC_BLOCK,
     Grid,
     InterfaceCurve,
     Model,
@@ -20,7 +21,35 @@ from contourdyn.geometry import (
 )
 from contourdyn.profiles import plateau_window
 
-from conftest import bump_curve
+from conftest import bump_curve, traced_peak
+
+
+def loop_curve(n: int, a: int, b: int, turn: float, close: bool = False) -> InterfaceCurve:
+    """Flat curve with a loop of radius 1.5 turning through ``turn`` from node a to b.
+
+    With ``close`` node b is put exactly on node a.
+    """
+    g = Grid(20.0, n)
+    theta = turn * np.arange(b - a + 1) / (b - a)
+    z1, z2 = g.alpha.copy(), np.ones(n)
+    z1[a:b + 1] = g.alpha[a] + 1.5 * np.sin(theta)
+    z2[a:b + 1] = 1.0 + 1.5 * (1.0 - np.cos(theta))
+    if close:
+        z1[b], z2[b] = z1[a], z2[a]
+    z1[b + 1:] += z1[b] - g.alpha[b]
+    return InterfaceCurve(g, z1, z2, validate=False)
+
+
+def dense_chord_arc(curve: InterfaceCurve) -> tuple[float, int]:
+    """Chord-arc constant over the full pair matrix, and the offset of its worst pair."""
+    g = curve.grid
+    da = np.abs(g.alpha[:, None] - g.alpha[None, :])
+    dist = np.hypot(curve.z1[:, None] - curve.z1[None, :], curve.z2[:, None] - curve.z2[None, :])
+    np.fill_diagonal(dist, np.inf)
+    np.fill_diagonal(da, 0.0)
+    ratio = da / dist
+    i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    return float(ratio[i, j]), abs(int(i) - int(j))
 
 
 def trig_grid(n: int = 512) -> Grid:
@@ -199,15 +228,18 @@ class TestChordArc:
         z1 = g.alpha - 0.4 * np.sin(g.alpha) * w
         curve = InterfaceCurve(g, z1, 1.0 + 0.5 * np.cos(g.alpha) * w)
         got = chord_arc_constant(curve)
-        da = np.abs(g.alpha[:, None] - g.alpha[None, :])
-        dist = np.hypot(
-            curve.z1[:, None] - curve.z1[None, :], curve.z2[:, None] - curve.z2[None, :]
-        )
-        np.fill_diagonal(dist, np.inf)
-        np.fill_diagonal(da, 0.0)
-        expect = float(np.max(da / dist))
+        expect, _ = dense_chord_arc(curve)
         assert got == pytest.approx(expect, rel=1e-12)
         assert got > 1.0
+
+    def test_against_dense_oracle_at_a_far_offset(self):
+        # the worst pair sits hundreds of offsets apart, and N is not a
+        # multiple of the offset block
+        curve = loop_curve(1000, 300, 700, 2.0 * np.pi - 0.02)
+        assert curve.grid.node_count % CHORD_ARC_BLOCK != 0
+        expect, offset = dense_chord_arc(curve)
+        assert offset > 4 * CHORD_ARC_BLOCK
+        assert chord_arc_constant(curve) == pytest.approx(expect, rel=1e-12)
 
     def test_translation_invariance(self, grid256):
         curve = bump_curve(grid256, 0.4)
@@ -226,6 +258,16 @@ class TestChordArc:
         with pytest.raises(SelfIntersection):
             chord_arc_constant(curve)
 
+
+    def test_far_fold_back_collision_names_both_nodes(self):
+        # the loop closes on its first node 400 nodes later in alpha
+        curve = loop_curve(1000, 300, 700, 2.0 * np.pi, close=True)
+        with pytest.raises(SelfIntersection, match="nodes 300 and 700 "):
+            chord_arc_constant(curve)
+
+    def test_peak_memory_is_a_few_rows(self):
+        curve = loop_curve(2048, 600, 1400, 2.0 * np.pi - 0.02)
+        assert traced_peak(chord_arc_constant, curve) < 8e6
 
 class TestMinDepth:
     def test_flat(self, grid256):
