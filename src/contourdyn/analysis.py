@@ -115,14 +115,10 @@ def depth_rate(
 
     d1x, d1y = curve.d1
     d2x, d2y = curve.d2
-    z1s = _quad_interp(curve.z1, alpha, h, jc, a_star)
-    z2s = _quad_interp(curve.z2, alpha, h, jc, a_star)
-    d1xs = _quad_interp(d1x, alpha, h, jc, a_star)
-    d1ys = _quad_interp(d1y, alpha, h, jc, a_star)
-    d2xs = _quad_interp(d2x, alpha, h, jc, a_star)
-    d2ys = _quad_interp(d2y, alpha, h, jc, a_star)
-    oms = _quad_interp(omega.omega, alpha, h, jc, a_star)
-    doms = _quad_interp(omega.d1, alpha, h, jc, a_star)
+    z1s, z2s, d1xs, d1ys, d2xs, d2ys, oms, doms = (
+        _quad_interp(values, alpha, h, jc, a_star)
+        for values in (curve.z1, curve.z2, d1x, d1y, d2x, d2y, omega.omega, omega.d1)
+    )
 
     u = a_star - alpha
     dz1 = z1s - curve.z1
@@ -282,10 +278,6 @@ def identity_defect(curve: InterfaceCurve, j_star: int | None = None) -> tuple[f
     return value_i, value_it, abs(value_it - value_i - np.pi)
 
 
-def _loglog(m: FloatArray) -> FloatArray:
-    return np.log(np.log(1.0 / m))
-
-
 def fit_double_exponential(
     t: FloatArray, m: FloatArray, fit_slack: float = 1e-2
 ) -> BoundFit:
@@ -313,7 +305,7 @@ def fit_double_exponential(
     if not 0.0 <= fit_slack < 1.0:
         raise FitFailure(f"fit_slack must be in [0, 1), got {fit_slack}")
 
-    y = _loglog(m)
+    y = np.log(np.log(1.0 / m))
 
     def objective(c: float) -> float:
         r = y - c * t - np.log(c)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import continuation_report, fit_double_exponential, identity_defect
 from .config import ParsedConfig, parse_config, with_grid
-from .errors import ConfigError, ContourError
+from .errors import ConfigError, ContourError, ValidationError
 from .evolve import SimState, run as run_simulation
 from .geometry import Model
 from .io import (
@@ -79,6 +79,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
     snapshots = read_snapshots(args.infile)
+    if not -len(snapshots) <= args.index < len(snapshots):
+        raise ValidationError(f"no snapshot {args.index} among the {len(snapshots)} stored")
     t, curve = snapshots[args.index]
     sim = parsed.sim
     params = sim.params

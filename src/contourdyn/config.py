@@ -75,31 +75,18 @@ _SECTIONS = {
     "output": _OUTPUT_KEYS,
 }
 
+
+def _field_defaults(cls, keys) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name in keys}
+
+
+# Every default is the dataclass's own, except the two run lengths.
 _DEFAULTS = {
     "model": {"type": "muskat"},
     "grid": {"N": 256, "L": 20.0},
-    "physics": {
-        "mu_plus": 1.0,
-        "mu_minus": 1.0,
-        "rho_plus": 1.0,
-        "rho_minus": 2.0,
-        "g": 1.0,
-        "gamma": 0.0,
-    },
-    "initial": {f.name: f.default for f in fields(InitialSpec)},
-    "output": {
-        "dt": 0.01,
-        "t_end": 1.0,
-        "snapshot_every": 10,
-        "cfl_safety": 0.125,
-        "picard_tol": 1e-10,
-        "picard_max_iter": 200,
-        "implicit_tol": 1e-10,
-        "implicit_max_iter": 50,
-        "contact_tol": 1e-4,
-        "blowup_cap": 1e3,
-        "chord_arc_cap": 1e3,
-    },
+    "physics": _field_defaults(PhysicalParams, _PHYSICS_KEYS),
+    "initial": _field_defaults(InitialSpec, _INITIAL_KEYS),
+    "output": {**_field_defaults(SimConfig, _OUTPUT_KEYS), "dt": 0.01, "t_end": 1.0},
 }
 
 
@@ -164,11 +151,9 @@ def _converted(section: str, raw: dict[str, str]) -> dict:
 def parse_config_text(text: str) -> ParsedConfig:
     """Parse configuration text into a validated ParsedConfig."""
     raw = _parse_sections(text)
-    model_kv = _converted("model", raw["model"])
-    grid_kv = _converted("grid", raw["grid"])
-    physics_kv = _converted("physics", raw["physics"])
-    initial_kv = _converted("initial", raw["initial"])
-    output_kv = _converted("output", raw["output"])
+    model_kv, grid_kv, physics_kv, initial_kv, output_kv = (
+        _converted(name, raw[name]) for name in _SECTIONS
+    )
 
     try:
         model = Model(model_kv["type"])
@@ -182,8 +167,10 @@ def parse_config_text(text: str) -> ParsedConfig:
         sim = SimConfig(params=params, grid=grid, **output_kv)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    initial = InitialSpec(**initial_kv)
+    return _stamped(sim, InitialSpec(**initial_kv))
 
+
+def _stamped(sim: SimConfig, initial: InitialSpec) -> ParsedConfig:
     canonical = serialize_config(sim, initial)
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     return ParsedConfig(sim=sim, initial=initial, text=canonical, sha256=digest)
@@ -213,19 +200,7 @@ def serialize_config(sim: SimConfig, initial: InitialSpec) -> str:
         "grid": {"N": sim.grid.node_count, "L": sim.grid.half_width},
         "physics": {key: getattr(sim.params, key) for key in _PHYSICS_KEYS},
         "initial": {key: getattr(initial, key) for key in _INITIAL_KEYS},
-        "output": {
-            "dt": sim.dt,
-            "t_end": sim.t_end,
-            "snapshot_every": sim.snapshot_every,
-            "cfl_safety": sim.cfl_safety,
-            "picard_tol": sim.picard_tol,
-            "picard_max_iter": sim.picard_max_iter,
-            "implicit_tol": sim.implicit_tol,
-            "implicit_max_iter": sim.implicit_max_iter,
-            "contact_tol": sim.contact_tol,
-            "blowup_cap": sim.blowup_cap,
-            "chord_arc_cap": sim.chord_arc_cap,
-        },
+        "output": {key: getattr(sim, key) for key in _OUTPUT_KEYS},
     }
     for name, keys in sections.items():
         lines.append(f"[{name}]")
@@ -238,7 +213,4 @@ def serialize_config(sim: SimConfig, initial: InitialSpec) -> str:
 def with_grid(parsed: ParsedConfig, node_count: int) -> ParsedConfig:
     """Same configuration on a different resolution (refinement sweeps)."""
     grid = Grid(half_width=parsed.sim.grid.half_width, node_count=node_count)
-    sim = replace(parsed.sim, grid=grid)
-    canonical = serialize_config(sim, parsed.initial)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return ParsedConfig(sim=sim, initial=parsed.initial, text=canonical, sha256=digest)
+    return _stamped(replace(parsed.sim, grid=grid), parsed.initial)

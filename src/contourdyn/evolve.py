@@ -42,7 +42,7 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength, pv_all_nodes
+from .kernels import VorticityStrength, node_operator, pv_all_nodes
 
 logger = logging.getLogger(__name__)
 
@@ -124,10 +124,10 @@ class RunSummary:
 
 
 def contour_rhs(
-    curve: InterfaceCurve, omega: VorticityStrength, c: FloatArray | None = None
+    curve: InterfaceCurve, omega: VorticityStrength, c: FloatArray | None = None, operator=None
 ) -> tuple[FloatArray, FloatArray]:
     """Curve velocity: principal-value integral plus tangential redistribution."""
-    u, v = pv_all_nodes(curve, omega)
+    u, v = pv_all_nodes(curve, omega, operator)
     if c is not None:
         c = np.asarray(c, dtype=np.float64)
         d1x, d1y = curve.d1
@@ -139,8 +139,12 @@ def contour_rhs(
 def _muskat_field(y: FloatArray, config: SimConfig, mask: FloatArray) -> FloatArray:
     curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
     curve.require_resolved()
-    omega = muskat.solve_vorticity(curve, config.params, config.picard_tol, config.picard_max_iter)
-    u, v = contour_rhs(curve, omega)
+    # a viscosity contrast's Picard solve and the stage velocity share one operator
+    operator = None if muskat.equal_viscosity(config.params) else node_operator(curve)
+    omega = muskat.solve_vorticity(
+        curve, config.params, config.picard_tol, config.picard_max_iter, operator
+    )
+    u, v = contour_rhs(curve, omega, operator=operator)
     return np.stack((mask * u, mask * v))
 
 
@@ -149,7 +153,7 @@ def _waves_field(y: FloatArray, config: SimConfig, mask: FloatArray, dt_probe: f
     curve.require_resolved()
     omega = VorticityStrength(config.grid, y[2], validate=False)
     state = waterwaves.WaveState(curve, omega)
-    u, v = contour_rhs(curve, omega)
+    u, v = state.velocity
     om_rate = waterwaves.omega_rhs(
         state,
         config.params,

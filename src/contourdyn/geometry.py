@@ -346,7 +346,7 @@ def holder_norms(curve: InterfaceCurve) -> tuple[float, float, float]:
     return c0, c1, c2
 
 
-def far_field_mask(grid: Grid, ramp: int | None = None) -> FloatArray:
+def far_field_mask(grid: Grid) -> FloatArray:
     """Smooth cutoff that is 0 on the decay bands and 1 in the interior.
 
     Evolution right-hand sides are multiplied by this mask so the truncated
@@ -355,11 +355,8 @@ def far_field_mask(grid: Grid, ramp: int | None = None) -> FloatArray:
     """
     n = grid.node_count
     band = min(DECAY_BAND, n // 2)
-    if ramp is None:
-        ramp = max(band, n // 16)
-    mask = np.ones(n, dtype=np.float64)
-    mask[:band] = 0.0
-    mask[n - band:] = 0.0
+    ramp = max(band, n // 16)
+    mask = np.where(grid.band_mask, 0.0, 1.0)
     for k in range(ramp):
         s = (k + 1.0) / (ramp + 1.0)
         value = 0.5 - 0.5 * np.cos(np.pi * s)
@@ -385,6 +382,9 @@ def curve_record(curve: InterfaceCurve, t: float) -> dict:
 
 def curve_from_record(record: dict) -> tuple[float, InterfaceCurve]:
     """Rebuild (t, curve) from a snapshot record, inferring the grid."""
+    missing = [key for key in ("t", "alpha", "z1", "z2") if key not in record]
+    if missing:
+        raise ValidationError(f"snapshot record lacks {', '.join(missing)}")
     alpha = np.asarray(record["alpha"], dtype=np.float64)
     if alpha.size < 16:
         raise ValidationError("snapshot record has too few nodes")

@@ -101,7 +101,10 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
     rows = [line.split(",") for line in lines[1:]]
     if any(len(r) != len(names) for r in rows):
         raise ValidationError(f"ragged CSV rows in {path}")
-    data = np.asarray(rows, dtype=np.float64)
+    try:
+        data = np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ValidationError(f"non-numeric CSV cell in {path}: {exc}") from None
     if data.size == 0:
         raise ValidationError(f"no data rows in {path}")
     return {name: data[:, k] for k, name in enumerate(names)}

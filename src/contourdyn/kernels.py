@@ -27,16 +27,16 @@ without it the omitted node costs one full order of accuracy.  The rule is
 second order on C^2 data; beyond the grid the integrand is dropped, which the
 far-field decay of omega justifies.
 
-pv_all_nodes applies one complex N x N operator, the pair difference with the
-trapezoid weights and 1/(2 pi i) folded in, filled in place in row blocks so
-it is the only N x N array an assembly allocates.  It depends on the curve
-only, so it is built once per curve and held in a one-slot cache keyed on the
-curve object: a Picard solve, an implicit rate iteration and the repeated
-velocity calls of one right-hand side all share one assembly.  The slot drops
-the old operator before building the new one, so peak memory is one operator
-of 16 N^2 bytes; it holds one entry, not one per curve, because states and
-snapshot consumers keep curves alive.  Single-node and off-curve evaluations
-form one O(N) row of the same product form and leave the cache alone.
+pv_all_nodes is one fused pass: it walks the source nodes OPERATOR_BLOCK rows
+at a time through two reused (block, N) buffers, for t - z and t - zbar, and
+reduces each block at once against the density omega w z2 / pi, which carries
+the real scale.  It never stores the operator, so its memory is O(block N).  A
+solve that applies one curve's operator more than once (a Picard iteration,
+the implicit rate's probe loop) builds it with node_operator, the same rows
+times the scale, holds it in a local and passes it to pv_all_nodes; peak
+memory is then that one operator of 16 N^2 bytes.  pair_passes counts both
+kinds of O(N^2) pass.  Single-node and off-curve evaluations form one O(N) row
+of the same product form.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ INV_2PI_I = 1.0 / (2j * np.pi)
 # inaccurate, so callers must switch to the one-sided limits.
 NEAR_FIELD_CELLS = 3.0
 
-# Source rows per assembly block, so a block's temporaries stay in cache: 16
-# rows measured fastest at N = 2048 and within noise of 32-256 at N = 256.
+# Source rows per block of a pass over the node pairs, so the buffers stay in
+# cache: 16 is at or near the fastest of 8-64 at N = 2048 and 4096.
 OPERATOR_BLOCK = 16
 
 
@@ -101,11 +101,6 @@ class VorticityStrength:
         return fd_derivative(self.omega, self.grid.spacing, 1, edge_value=0.0)
 
 
-def near_field_tol(curve: InterfaceCurve) -> float:
-    """Radius of the collar inside which off-curve evaluation is refused."""
-    return NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
-
-
 def _require_shared_grid(curve: InterfaceCurve, omega: VorticityStrength) -> None:
     if curve.grid != omega.grid:
         raise ValidationError("curve and omega must share the same grid")
@@ -138,53 +133,62 @@ def diagonal_limit(curve: InterfaceCurve, f: FloatArray, df: FloatArray) -> np.n
     return (0.5 * f * (d2x + 1j * d2y) / dz - df) / dz
 
 
-def _sheet_rows(curve: InterfaceCurve, t: np.ndarray, sources=slice(None), puncture=(), out=None):
-    """w_k (1/(t - z_k) - 1/(t - zbar_k)) / (2 pi i) = (w_k z2_k / pi) / ((t - z_k)(t - zbar_k)).
+def _sheet_rows(curve: InterfaceCurve, t, sources=slice(None), puncture=(), out=None, mirror=None):
+    """1 / ((t - z_k)(t - zbar_k)), the pair 1/(t - z_k) - 1/(t - zbar_k) over z_k - zbar_k.
 
-    Sources run down, targets ``t`` across.  At the (row, column) positions
+    Sources run down, targets ``t`` across; ``out`` and ``mirror`` are buffers
+    of that shape for t - z and t - zbar.  At the (row, column) positions
     ``puncture`` the target sits on the source node; there t - z_k becomes
-    zbar_k - z_k, which leaves the mirror-only value w_k / (4 pi z2_k).
+    zbar_k - z_k, which leaves the mirror-only value 1 / (4 z2_k^2).  Against
+    the density omega_k w_k z2_k / pi the rows give the sheet velocity u - iv.
     """
     z = curve.z[sources, None]
     rows = np.subtract(t, z, out=out)
     if puncture:
         rows[puncture] = -2j * curve.z2[sources][puncture[0]]
-    rows *= t - np.conj(z)
-    np.reciprocal(rows, out=rows)
-    scale = curve.grid.trapezoid_weights[sources] * curve.z2[sources] / np.pi
-    rows.view(np.float64)[...] *= scale[:, None]
-    return rows
+    rows *= np.subtract(t, np.conj(z), out=mirror)
+    return np.reciprocal(rows, out=rows)
 
 
-class _OperatorSlot:
-    """One-slot cache of the node operator; ``assemblies`` counts every build."""
-
-    def __init__(self) -> None:
-        self._entry: tuple[InterfaceCurve, np.ndarray] | None = None
-        self.assemblies = 0
-
-    def clear(self) -> None:
-        self._entry = None
-
-    def __call__(self, curve: InterfaceCurve) -> np.ndarray:
-        """The sheet operator at every node, punctured on the diagonal."""
-        entry = self._entry
-        if entry is None or entry[0] is not curve:
-            # No reference to the old operator may survive into the build.
-            entry = self._entry = None
-            n = curve.grid.node_count
-            op = np.empty((n, n), dtype=np.complex128)
-            for start in range(0, n, OPERATOR_BLOCK):
-                block = slice(start, min(start + OPERATOR_BLOCK, n))
-                diag = np.arange(block.stop - start)
-                _sheet_rows(curve, curve.z, block, (diag, diag + start), op[block])
-            op.flags.writeable = False
-            entry = self._entry = (curve, op)
-            self.assemblies += 1
-        return entry[1]
+def _sheet_scale(curve: InterfaceCurve) -> FloatArray:
+    """The real factor w_k z2_k / pi of each source row of the sheet velocity."""
+    return curve.grid.trapezoid_weights * curve.z2 / np.pi
 
 
-_node_operator = _OperatorSlot()
+# Whole O(N^2) passes over the node pairs: "assembly" builds an operator,
+# "fused" reduces the pairs against a density as it goes.
+pair_passes = {"assembly": 0, "fused": 0}
+
+
+def _node_blocks(curve: InterfaceCurve, kind: str, out=None):
+    """(block, rows) of the punctured node rows, OPERATOR_BLOCK sources at a time.
+
+    The rows go into ``out[block]`` when given, else into one reused buffer.
+    """
+    pair_passes[kind] += 1
+    n = curve.grid.node_count
+    buffers = np.empty((2, OPERATOR_BLOCK, n), dtype=np.complex128)
+    for start in range(0, n, OPERATOR_BLOCK):
+        block = slice(start, min(start + OPERATOR_BLOCK, n))
+        m = block.stop - start
+        diag = np.arange(m)
+        rows = buffers[0, :m] if out is None else out[block]
+        yield block, _sheet_rows(curve, curve.z, block, (diag, diag + start), rows, buffers[1, :m])
+
+
+def node_operator(curve: InterfaceCurve) -> np.ndarray:
+    """The sheet operator at every node, (N, N), punctured on the diagonal.
+
+    For a solve that applies one curve's operator more than once: hold it in
+    a local and pass it to pv_all_nodes.  It is the only N x N array built.
+    """
+    curve.require_resolved()
+    op = np.empty((curve.grid.node_count,) * 2, dtype=np.complex128)
+    scale = _sheet_scale(curve)
+    for block, rows in _node_blocks(curve, "assembly", op):
+        rows.view(np.float64)[...] *= scale[block, None]
+    op.flags.writeable = False
+    return op
 
 
 def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
@@ -192,10 +196,10 @@ def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
     return (omega @ rows.view(np.float64)).view(np.complex128)
 
 
-def _conjugate_pv(curve: InterfaceCurve, omega: VorticityStrength, rows: np.ndarray, nodes):
-    """u - iv at the on-curve targets ``nodes``, given their punctured rows."""
+def _conjugate_pv(curve: InterfaceCurve, omega: VorticityStrength, far: np.ndarray, nodes):
+    """u - iv at the on-curve targets ``nodes``, given their punctured sums ``far``."""
     limit = diagonal_limit(curve, omega.omega, omega.d1)[nodes]
-    return _apply(rows, omega.omega) + curve.grid.trapezoid_weights[nodes] * limit * INV_2PI_I
+    return far + curve.grid.trapezoid_weights[nodes] * limit * INV_2PI_I
 
 
 def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Velocity2:
@@ -207,10 +211,10 @@ def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Vel
     _require_shared_grid(curve, omega)
     t = complex(float(p[0]), float(p[1]))
     dist = float(np.min(np.abs(t - curve.z)))
-    tol = near_field_tol(curve)
+    tol = NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
     if dist < tol:
         raise TooCloseToCurve(dist, tol)
-    w = _apply(_sheet_rows(curve, np.array([t])), omega.omega)[0]
+    w = _apply(_sheet_rows(curve, np.array([t])), omega.omega * _sheet_scale(curve))[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 
@@ -220,19 +224,29 @@ def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int
     curve.require_resolved()
     if not 0 <= j < curve.grid.node_count:
         raise IndexError(f"node index {j} out of range")
-    w = _conjugate_pv(curve, omega, _sheet_rows(curve, curve.z[[j]], puncture=([j], [0])), [j])[0]
+    rows = _sheet_rows(curve, curve.z[[j]], puncture=([j], [0]))
+    w = _conjugate_pv(curve, omega, _apply(rows, omega.omega * _sheet_scale(curve)), [j])[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 
-def pv_all_nodes(curve: InterfaceCurve, omega: VorticityStrength) -> tuple[FloatArray, FloatArray]:
+def pv_all_nodes(
+    curve: InterfaceCurve, omega: VorticityStrength, operator: np.ndarray | None = None
+) -> tuple[FloatArray, FloatArray]:
     """Principal-value velocity (u, v) at every node.
 
-    Applies the curve's cached N x N operator; only the first call per curve
-    pays the O(N^2) assembly.
+    One fused O(N^2) pass, unless ``operator``, the curve's node_operator held
+    by a solve that applies it repeatedly, is given.
     """
     _require_shared_grid(curve, omega)
     curve.require_resolved()
-    w = _conjugate_pv(curve, omega, _node_operator(curve), slice(None))
+    if operator is None:  # reduce each block against the density; store no operator
+        density = omega.omega * _sheet_scale(curve)
+        far = np.zeros(curve.grid.node_count, dtype=np.complex128)
+        for block, rows in _node_blocks(curve, "fused"):
+            far += _apply(rows, density[block])
+    else:
+        far = _apply(operator, omega.omega)
+    w = _conjugate_pv(curve, omega, far, slice(None))
     return w.real, -w.imag
 
 

@@ -32,7 +32,7 @@ from .geometry import (
     far_field_mask,
     fd_derivative,
 )
-from .kernels import VorticityStrength, pv_all_nodes
+from .kernels import VorticityStrength, node_operator, pv_all_nodes
 
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
@@ -61,10 +61,15 @@ def vorticity_rhs(curve: InterfaceCurve, params: PhysicalParams) -> FloatArray:
     return rhs
 
 
+def equal_viscosity(params: PhysicalParams) -> bool:
+    """Whether the closure is explicit: mu_+ == mu_- to roundoff."""
+    return abs(params.viscosity_jump) <= 1e-14 * params.viscosity_mean
+
+
 def solve_vorticity_equal(curve: InterfaceCurve, params: PhysicalParams) -> VorticityStrength:
     """Closed-form strength mu * omega = rhs for equal viscosities."""
     _require_muskat(params)
-    if abs(params.viscosity_jump) > 1e-14 * params.viscosity_mean:
+    if not equal_viscosity(params):
         raise ValidationError(
             f"equal-viscosity solve requires mu_plus == mu_minus, got "
             f"{params.mu_plus} and {params.mu_minus}"
@@ -79,9 +84,10 @@ def _picard_map(
     rhs: FloatArray,
     mask: FloatArray,
     omega_arr: FloatArray,
+    operator: np.ndarray | None = None,
 ) -> FloatArray:
     trial = VorticityStrength(curve.grid, omega_arr, validate=False)
-    u, v = pv_all_nodes(curve, trial)
+    u, v = pv_all_nodes(curve, trial, operator)
     d1x, d1y = curve.d1
     v_dot_t = u * d1x + v * d1y
     return mask * (rhs + params.viscosity_jump * v_dot_t) / params.viscosity_mean
@@ -92,11 +98,13 @@ def solve_vorticity_general(
     params: PhysicalParams,
     tol: float = PICARD_TOL,
     max_iter: int = PICARD_MAX_ITER,
+    operator: np.ndarray | None = None,
 ) -> VorticityStrength:
     """Picard solve of the viscosity-contrast integral equation.
 
     Starts from the equal-viscosity formula with the mean viscosity and
     iterates the fixed-point map until successive sup-norm change <= tol.
+    Every iteration applies ``operator``, the curve's node_operator, built here if not given.
     Raises NoConvergence when the budget runs out, which signals an
     under-resolved or extreme-contrast configuration rather than a bug.
     The iteration count is attached to the result as ``.iterations``.
@@ -111,9 +119,11 @@ def solve_vorticity_general(
         result = VorticityStrength(curve.grid, omega_arr)
         result.iterations = 0
         return result
+    if operator is None:
+        operator = node_operator(curve)
     diff = np.inf
     for iteration in range(1, max_iter + 1):
-        new = _picard_map(curve, params, rhs, mask, omega_arr)
+        new = _picard_map(curve, params, rhs, mask, omega_arr, operator)
         diff = float(np.max(np.abs(new - omega_arr)))
         omega_arr = new
         if diff <= tol:
@@ -128,11 +138,12 @@ def solve_vorticity(
     params: PhysicalParams,
     tol: float = PICARD_TOL,
     max_iter: int = PICARD_MAX_ITER,
+    operator: np.ndarray | None = None,
 ) -> VorticityStrength:
     """Strength from the closure: explicit for equal viscosities, Picard otherwise."""
-    if abs(params.viscosity_jump) <= 1e-14 * params.viscosity_mean:
+    if equal_viscosity(params):
         return solve_vorticity_equal(curve, params)
-    return solve_vorticity_general(curve, params, tol=tol, max_iter=max_iter)
+    return solve_vorticity_general(curve, params, tol=tol, max_iter=max_iter, operator=operator)
 
 
 def vorticity_residual(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .geometry import (
     curvature,
     fd_derivative,
 )
-from .kernels import VorticityStrength, pv_all_nodes
+from .kernels import VorticityStrength, node_operator, pv_all_nodes
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +53,11 @@ class WaveState:
     def __post_init__(self) -> None:
         if self.curve.grid != self.omega.grid:
             raise ValidationError("curve and omega must share the same grid")
+
+    @cached_property
+    def velocity(self) -> tuple[FloatArray, FloatArray]:
+        """Principal-value velocity (u, v) at every node, one pass per state."""
+        return pv_all_nodes(self.curve, self.omega)
 
 
 def _require_waves(params: PhysicalParams) -> None:
@@ -74,7 +80,7 @@ def bracket_term(state: WaveState, params: PhysicalParams, c: FloatArray | None 
     curve, omega = state.curve, state.omega
     c_arr = _tangential(curve, c)
     a = params.atwood
-    u, v = pv_all_nodes(curve, omega)
+    u, v = state.velocity
     d1x, d1y = curve.d1
     v_dot_t = u * d1x + v * d1y
     rho_total = params.rho_plus + params.rho_minus
@@ -88,12 +94,6 @@ def bracket_term(state: WaveState, params: PhysicalParams, c: FloatArray | None 
     if params.gamma != 0.0:
         bracket = bracket - 2.0 * params.gamma * curvature(curve) / rho_total
     return bracket
-
-
-def _v_dot_t(curve: InterfaceCurve, omega: VorticityStrength) -> FloatArray:
-    u, v = pv_all_nodes(curve, omega)
-    d1x, d1y = curve.d1
-    return u * d1x + v * d1y
 
 
 def omega_rhs(
@@ -121,7 +121,7 @@ def omega_rhs(
     if a == 0.0:
         return explicit
 
-    u, v = pv_all_nodes(curve, omega)
+    u, v = state.velocity
     d1x, d1y = curve.d1
     b0 = u * d1x + v * d1y
     zdot1 = u + c_arr * d1x
@@ -130,6 +130,7 @@ def omega_rhs(
         curve.grid, curve.z1 + dt_probe * zdot1, curve.z2 + dt_probe * zdot2, validate=False
     )
     probe_curve.require_resolved()
+    probe_operator = node_operator(probe_curve)
 
     rate = explicit
     diff = np.inf
@@ -137,7 +138,8 @@ def omega_rhs(
         probe_omega = VorticityStrength(
             curve.grid, omega.omega + dt_probe * rate, validate=False
         )
-        b_probe = _v_dot_t(probe_curve, probe_omega)
+        up, vp = pv_all_nodes(probe_curve, probe_omega, probe_operator)
+        b_probe = up * probe_curve.d1[0] + vp * probe_curve.d1[1]
         new_rate = explicit + 2.0 * a * (b_probe - b0) / dt_probe
         diff = float(np.max(np.abs(new_rate - rate)))
         rate = new_rate

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and output file contracts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +212,35 @@ class TestAnalyze:
         assert record["error"] == "NoConvergence"
 
 
+    def test_index_out_of_range_exit_code(self, stable_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", stable_cfg, "--out", str(out)])
+        lines = (out / "snapshots.jsonl").read_text().splitlines()
+        snapshots = str(tmp_path / "three.jsonl")
+        Path(snapshots).write_text("\n".join(lines[:4]) + "\n")  # header and 3 records
+        assert len(read_snapshots(snapshots)) == 3
+        capsys.readouterr()
+        code = main(["analyze", "--config", stable_cfg, "--in", snapshots, "--index", "99"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "99" in record["detail"]
+
+    def test_record_without_z2_exit_code(self, stable_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", stable_cfg, "--out", str(out)])
+        header, first, *_ = (out / "snapshots.jsonl").read_text().splitlines()
+        record = json.loads(first)
+        del record["z2"]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text(header + "\n" + json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--config", stable_cfg, "--in", str(broken)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "z2" in record["detail"]
+
+
 class TestIdentity:
     def test_sweep_decreases(self, tmp_path, capsys):
         cfg = tmp_path / "bump.cfg"
@@ -245,3 +275,10 @@ class TestFit:
         assert main(["fit", "--in", str(csv)]) == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "FitFailure"
+
+    def test_non_numeric_cell_exit_code(self, tmp_path, capsys):
+        csv = tmp_path / "diag.csv"
+        csv.write_text("t,m\n0.0,0.5\n1.0,oops\n")
+        assert main(["fit", "--in", str(csv)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"

@@ -16,7 +16,7 @@ from contourdyn.cli import initial_state
 from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import TooCloseToCurve, ValidationError
 from contourdyn.evolve import step
-from contourdyn.geometry import Grid, InterfaceCurve
+from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
 from contourdyn.kernels import (
     VorticityStrength,
     plemelj_velocity,
@@ -24,6 +24,7 @@ from contourdyn.kernels import (
     pv_boundary_integral,
     velocity_at_point,
 )
+from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
 from conftest import bump_curve, gaussian_strength, random_smooth_pair, traced_peak
@@ -260,20 +261,33 @@ def test_pv_translation_equivariance(shift):
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def assert_fused_matches_held(curve, omega):
+    """The fused pass and the held operator's apply differ only by summation
+    order: per node, within sqrt(N) eps of the sum of the absolute terms."""
+    op = kernels.node_operator(curve)
+    u, v = pv_all_nodes(curve, omega)
+    held_u, held_v = pv_all_nodes(curve, omega, op)
+    terms = np.abs(omega.omega) @ np.abs(op)
+    tol = np.sqrt(curve.grid.node_count) * np.finfo(np.float64).eps * terms
+    assert np.all(np.abs((u - held_u) - 1j * (v - held_v)) <= tol)
+    return np.array((u, v))
+
+
 class TestOneOperator:
     @pytest.mark.parametrize(
-        "config, physics, builds",
+        "config, physics, fused, assembled",
         [
-            ("stable_relaxation.cfg", {}, 4),
-            ("stable_relaxation.cfg", {"mu_plus": 2.0, "mu_minus": 0.5}, 5),
-            ("internal_wave.cfg", {}, 8),
+            ("stable_relaxation.cfg", {}, 4, 0),
+            ("stable_relaxation.cfg", {"mu_plus": 2.0, "mu_minus": 0.5}, 0, 5),
+            ("internal_wave.cfg", {}, 4, 4),
         ],
         ids=["equal", "contrast", "waves"],
     )
-    def test_assemblies_per_step(self, config, physics, builds):
-        # one operator per distinct curve: the four RK stages, plus the
-        # accepted curve's closure solve (contrast) or the probe curve of
-        # each implicit rate (waves)
+    def test_assemblies_per_step(self, config, physics, fused, assembled):
+        # one pair pass per distinct curve: a fused pass for each RK stage's
+        # one-shot velocity; an operator for each repeatedly applied curve,
+        # the stage and accepted curves' Picard solves (contrast) or the
+        # probe curve of each implicit rate (waves)
         parsed = with_grid(parse_config(str(CONFIGS / config)), 128)
         if physics:
             params = dataclasses.replace(parsed.sim.params, **physics)
@@ -281,32 +295,36 @@ class TestOneOperator:
                 parsed, sim=dataclasses.replace(parsed.sim, params=params)
             )
         state = initial_state(parsed)
-        kernels._node_operator.clear()
-        before = kernels._node_operator.assemblies
+        before = dict(kernels.pair_passes)
         step(state, parsed.sim)
-        assert kernels._node_operator.assemblies - before == builds
+        counts = {k: kernels.pair_passes[k] - before[k] for k in before}
+        assert counts == {"fused": fused, "assembly": assembled}
 
-    def test_cache_never_serves_another_curve(self, grid256):
+    def test_held_operator_agrees_with_fused_pass(self, grid256):
+        # an operator serves only the curve it was built for: A, B, A
         curve_a = bump_curve(grid256, 0.25)
         curve_b = bump_curve(grid256, -0.2, z1_amp=0.1)
         omega = gaussian_strength(grid256, amplitude=0.8, center=0.7)
-        before = kernels._node_operator.assemblies
-        first = pv_all_nodes(curve_a, omega)
-        other = pv_all_nodes(curve_b, omega)
-        again = pv_all_nodes(curve_a, omega)
-        hit = pv_all_nodes(curve_a, omega)
-        assert not np.array_equal(first[0], other[0])
-        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
-        assert np.array_equal(again[0], hit[0])
-        assert kernels._node_operator.assemblies - before == 3
+        results = [assert_fused_matches_held(c, omega) for c in (curve_a, curve_b, curve_a)]
+        assert not np.array_equal(results[0], results[1])
+        assert np.array_equal(results[0], results[2])
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("config", ["stable_relaxation", "internal_wave", "unstable_pinch"])
+    def test_fused_pass_matches_held_operator(self, config, n):
+        state = initial_state(with_grid(parse_config(str(CONFIGS / f"{config}.cfg")), n))
+        curve, omega = state.curve, state.omega
+        if not np.any(omega.omega):  # the wave config starts from rest
+            omega = gaussian_strength(curve.grid, amplitude=0.3)
+        assert_fused_matches_held(curve, omega)
 
     def test_no_runtime_warnings(self, grid256):
         curve = bump_curve(grid256, 0.3)
         omega = gaussian_strength(grid256, amplitude=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kernels._node_operator.clear()
             pv_all_nodes(curve, omega)
+            pv_all_nodes(curve, omega, kernels.node_operator(curve))
             pv_boundary_integral(curve, omega, 128)
             plemelj_velocity(curve, omega, 100, "plus")
             velocity_at_point(curve, omega, (0.5, 3.0))
@@ -318,11 +336,10 @@ class TestOneOperator:
     )
     def test_operator_against_long_double_near_bottom(self):
         # the two kernels nearly cancel where the curve nears the bottom; the
-        # product form keeps every entry to roundoff
+        # product form keeps every entry to roundoff, held or fused
         grid = Grid(20.0, 512)
         curve, _ = build_initial(InitialSpec(profile="pinch", delta=1e-3, window_ramp=4.0), grid)
-        kernels._node_operator.clear()
-        op = kernels._node_operator(curve)
+        op = kernels.node_operator(curve)
         z = curve.z.astype(np.clongdouble)
         first = z[None, :] - z[:, None]
         np.fill_diagonal(first, np.inf)  # punctured: the reciprocal gives 0
@@ -331,19 +348,35 @@ class TestOneOperator:
         ref = pair * (w / (2j * np.longdouble(np.pi)))[:, None]
         rel = np.abs(op - ref) / np.abs(ref)
         assert float(np.max(rel)) <= 1e-14
+        # the fused pass against the summed reference, per node relative to
+        # the sum of its absolute terms; both add the same diagonal limit
+        omega = solve_vorticity_equal(curve, PhysicalParams(model=Model.MUSKAT))
+        u, v = pv_all_nodes(curve, omega)
+        limit = kernels.diagonal_limit(curve, omega.omega, omega.d1)
+        ref_sum = omega.omega.astype(np.longdouble) @ ref + w * limit * kernels.INV_2PI_I
+        err = np.abs((u - 1j * v) - ref_sum) / (np.abs(omega.omega) @ np.abs(ref))
+        assert float(np.max(err)) <= 1e-14
 
     def test_assembly_peak_is_one_operator(self):
         n = 1024
         curve = bump_curve(Grid(20.0, n), 0.3)
-        kernels._node_operator.clear()
-        peak = traced_peak(kernels._node_operator, curve)
+        peak = traced_peak(kernels.node_operator, curve)
         assert peak < 1.1 * 16 * n * n
 
     def test_step_peak_is_one_operator(self):
+        # a viscosity contrast holds one operator at a time, never two
         n = 1024
         parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), n)
+        params = dataclasses.replace(parsed.sim.params, mu_plus=2.0, mu_minus=0.5)
+        parsed = dataclasses.replace(parsed, sim=dataclasses.replace(parsed.sim, params=params))
         state = initial_state(parsed)
-        kernels._node_operator.clear()
         peak = traced_peak(step, state, parsed.sim)
         assert peak < 1.25 * 16 * n * n
 
+    def test_equal_viscosity_step_memory_is_linear(self):
+        # no operator is stored: a step's peak is a few (block, N) buffers
+        n = 4096
+        parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), n)
+        state = initial_state(parsed)
+        peak = traced_peak(step, state, parsed.sim)
+        assert peak < 16 * n * n / 16
