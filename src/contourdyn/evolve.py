@@ -10,7 +10,9 @@ The mask pins the decay bands to the exact flat state, which is the truncated
 domain's far-field closure; the suppressed motion is the O(1/distance^2) tail
 the truncation drops anyway.  Classical RK4 does the stepping; for Muskat the
 sheet strength is re-solved from the curve at every stage, for water waves the
-pair (z, omega) advances jointly.
+pair (z, omega) advances jointly.  A viscosity contrast's acceptance solve
+holds the accepted curve's operator, so it also gives that state's field,
+which the next step takes as its k1.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -18,6 +20,7 @@ minimum depth to the contact tolerance terminates the run with BottomContact.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Protocol
@@ -103,6 +106,9 @@ class SimState:
     curve: InterfaceCurve
     omega: VorticityStrength
     t: float = 0.0
+    # a contrast acceptance's masked velocity: the next step's k1 under that config only
+    field: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
+    accepted_under: SimConfig | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 class DiagnosticsSink(Protocol):
@@ -136,16 +142,14 @@ def contour_rhs(
     return u, v
 
 
-def _muskat_field(y: FloatArray, config: SimConfig, mask: FloatArray) -> FloatArray:
-    curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-    curve.require_resolved()
-    # a viscosity contrast's Picard solve and the stage velocity share one operator
+def _muskat_field(curve: InterfaceCurve, config: SimConfig, mask: FloatArray):
+    """(omega, masked velocity); a contrast's Picard solve and velocity share one operator."""
     operator = None if muskat.equal_viscosity(config.params) else node_operator(curve)
     omega = muskat.solve_vorticity(
         curve, config.params, config.picard_tol, config.picard_max_iter, operator
     )
     u, v = contour_rhs(curve, omega, operator=operator)
-    return np.stack((mask * u, mask * v))
+    return omega, np.stack((mask * u, mask * v))
 
 
 def _waves_field(y: FloatArray, config: SimConfig, mask: FloatArray, dt_probe: float) -> FloatArray:
@@ -155,19 +159,10 @@ def _waves_field(y: FloatArray, config: SimConfig, mask: FloatArray, dt_probe: f
     state = waterwaves.WaveState(curve, omega)
     u, v = state.velocity
     om_rate = waterwaves.omega_rhs(
-        state,
-        config.params,
-        dt_probe=dt_probe,
-        tol=config.implicit_tol,
+        state, config.params, dt_probe=dt_probe, tol=config.implicit_tol,
         max_iter=config.implicit_max_iter,
     )
     return np.stack((mask * u, mask * v, mask * om_rate))
-
-
-def _pack(state: SimState, model: Model) -> FloatArray:
-    if model is Model.MUSKAT:
-        return np.stack((state.curve.z1, state.curve.z2))
-    return np.stack((state.curve.z1, state.curve.z2, state.omega.omega))
 
 
 def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
@@ -178,35 +173,36 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
     md = min_depth(curve)
     if md.m <= config.contact_tol:
         raise BottomContact(t_new, md.m)
-    c0, c1, c2 = holder_norms(curve)
-    worst = max(c0, c1, c2)
+    worst = max(holder_norms(curve))
     if worst > config.blowup_cap:
         raise StabilityFailure(t_new, "curve C2 norm", worst)
     if curve.chord_arc > config.chord_arc_cap:
         raise StabilityFailure(t_new, "chord-arc constant", curve.chord_arc)
     curve.check_invariants()
-    if config.model is Model.MUSKAT:
-        omega = muskat.solve_vorticity(curve, config.params, config.picard_tol, config.picard_max_iter)
-    else:
-        omega = VorticityStrength(config.grid, y[2])
-    return SimState(curve=curve, omega=omega, t=t_new)
+    if config.model is not Model.MUSKAT:
+        return SimState(curve, VorticityStrength(config.grid, y[2]), t_new)
+    if muskat.equal_viscosity(config.params):  # here the field would cost one more pass
+        return SimState(curve, muskat.solve_vorticity_equal(curve, config.params), t_new)
+    # the contrast solve holds the operator: one more apply gives the next step's k1
+    omega, field = _muskat_field(curve, config, far_field_mask(config.grid))
+    return SimState(curve, omega, t_new, field, config)
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One classical RK4 step of the masked system, with post-step checks."""
     dt = config.dt if dt is None else float(dt)
     mask = far_field_mask(config.grid)
-    model = config.model
-    y0 = _pack(state, model)
+    waves = config.model is Model.WATER_WAVES
+    y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
 
-    if model is Model.MUSKAT:
-        def field(y: FloatArray) -> FloatArray:
-            return _muskat_field(y, config, mask)
-    else:
-        def field(y: FloatArray) -> FloatArray:
+    def field(y: FloatArray) -> FloatArray:
+        if waves:
             return _waves_field(y, config, mask, dt_probe=dt)
+        curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
+        return _muskat_field(curve, config, mask)[1]
 
-    k1 = field(y0)
+    reuse = state.field is not None and state.accepted_under == config
+    k1 = state.field if reuse else field(y0)
     k2 = field(y0 + 0.5 * dt * k1)
     k3 = field(y0 + 0.5 * dt * k2)
     k4 = field(y0 + dt * k3)
@@ -214,11 +210,7 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     return _check_accept(y1, state.t + dt, config)
 
 
-def run(
-    config: SimConfig,
-    initial: SimState,
-    sinks: Iterable[DiagnosticsSink] = (),
-) -> RunSummary:
+def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] = ()) -> RunSummary:
     """Advance to t_end, streaming per-step diagnostics and snapshots.
 
     The step size is constant (the surface-tension cap applies once, up
@@ -233,21 +225,24 @@ def run(
     n_steps = 0 if config.t_end == 0.0 else int(np.ceil(config.t_end / dt - 1e-12))
 
     state = initial
-    rows = 0
     last_snapshot_t: float | None = None
 
+    def snapshot(state: SimState) -> None:
+        nonlocal last_snapshot_t
+        # the samples alone: a sink that keeps snapshots pins no derived arrays
+        curve = InterfaceCurve(config.grid, state.curve.z1, state.curve.z2, validate=False)
+        omega = VorticityStrength(config.grid, state.omega.omega, validate=False)
+        for sink in sinks:
+            sink.on_snapshot(state.t, curve, omega)
+        last_snapshot_t = state.t
+
     def emit(state: SimState, step_index: int, force_snapshot: bool = False) -> None:
-        nonlocal rows, last_snapshot_t
         _, diag = depth_rate(state.curve, state.omega, t=state.t)
         for sink in sinks:
             sink.on_diagnostics(diag)
-        rows += 1
         every = config.snapshot_every
-        due = every > 0 and step_index % every == 0
-        if due or force_snapshot:
-            for sink in sinks:
-                sink.on_snapshot(state.t, state.curve, state.omega)
-            last_snapshot_t = state.t
+        if force_snapshot or (every > 0 and step_index % every == 0):
+            snapshot(state)
 
     emit(state, 0, force_snapshot=True)
     status, message = "completed", ""
@@ -266,16 +261,14 @@ def run(
             break
         steps_done = i
         emit(state, i, force_snapshot=(i == n_steps))
-    if last_snapshot_t != state.t:
-        # terminated early: keep the last accepted state for post-mortem work
-        for sink in sinks:
-            sink.on_snapshot(state.t, state.curve, state.omega)
+    if last_snapshot_t != state.t:  # terminated early: keep the last accepted state
+        snapshot(state)
 
     return RunSummary(
         status=status,
         t_final=state.t,
         steps_completed=steps_done,
         final_min_depth=min_depth(state.curve).m,
-        diagnostics_rows=rows,
+        diagnostics_rows=steps_done + 1,  # the initial state and every accepted step
         message=message,
     )

@@ -250,6 +250,13 @@ class InterfaceCurve:
         d1x, d1y = self.d1
         return d1x * d1x + d1y * d1y
 
+    @cached_property
+    def tangential_limit(self) -> FloatArray:
+        """w Im(z''/z') / (4 pi): the punctured node's share of V . dz/dalpha per unit omega."""
+        (d1x, d1y), (d2x, d2y) = self.d1, self.d2
+        turning = (d1x * d2y - d1y * d2x) / self.speed_squared  # Im(z''/z')
+        return self.grid.trapezoid_weights * turning / (4.0 * np.pi)
+
     def require_resolved(self) -> None:
         """Raise if the parametrization is too degenerate for singular quadrature."""
         if float(np.min(self.speed_squared)) < ARC_FLOOR * ARC_FLOOR:
@@ -385,7 +392,11 @@ def curve_from_record(record: dict) -> tuple[float, InterfaceCurve]:
     missing = [key for key in ("t", "alpha", "z1", "z2") if key not in record]
     if missing:
         raise ValidationError(f"snapshot record lacks {', '.join(missing)}")
-    alpha = np.asarray(record["alpha"], dtype=np.float64)
+    try:
+        t = float(record["t"])
+        alpha, z1, z2 = (np.asarray(record[key], dtype=np.float64) for key in ("alpha", "z1", "z2"))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"snapshot record is not numeric: {exc}") from None
     if alpha.size < 16:
         raise ValidationError("snapshot record has too few nodes")
     h = alpha[1] - alpha[0]
@@ -394,5 +405,4 @@ def curve_from_record(record: dict) -> tuple[float, InterfaceCurve]:
     grid = Grid(half_width=-float(alpha[0]), node_count=alpha.size)
     if not np.allclose(grid.alpha, alpha, rtol=0.0, atol=1e-9):
         raise ValidationError("snapshot record nodes do not match a centered uniform grid")
-    curve = InterfaceCurve(grid, np.asarray(record["z1"]), np.asarray(record["z2"]))
-    return float(record["t"]), curve
+    return t, InterfaceCurve(grid, z1, z2)

@@ -120,6 +120,8 @@ def read_snapshots(path: str) -> list[tuple[float, InterfaceCurve]]:
                 if not line:
                     continue
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValidationError(f"snapshot line {k + 1} in {path!r} is not a JSON object")
                 if k == 0 and record.get("format") == SNAPSHOT_FORMAT:
                     continue
                 out.append(curve_from_record(record))

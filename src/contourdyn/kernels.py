@@ -34,9 +34,12 @@ the real scale.  It never stores the operator, so its memory is O(block N).  A
 solve that applies one curve's operator more than once (a Picard iteration,
 the implicit rate's probe loop) builds it with node_operator, the same rows
 times the scale, holds it in a local and passes it to pv_all_nodes; peak
-memory is then that one operator of 16 N^2 bytes.  pair_passes counts both
-kinds of O(N^2) pass.  Single-node and off-curve evaluations form one O(N) row
-of the same product form.
+memory is then that one operator of 16 N^2 bytes.  Such a solve needs only
+the tangential component V . dz/dalpha, and there the limit's f' term drops
+(it is imaginary once multiplied by z'): tangential_velocity is one apply plus
+O(N) work, with no derivative of omega.  pair_passes counts both kinds of
+O(N^2) pass.  Single-node and off-curve evaluations form one O(N) row of the
+same product form.
 """
 
 from __future__ import annotations
@@ -248,6 +251,17 @@ def pv_all_nodes(
         far = _apply(operator, omega.omega)
     w = _conjugate_pv(curve, omega, far, slice(None))
     return w.real, -w.imag
+
+
+def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.ndarray):
+    """V . dz/dalpha = Re((u - iv) z') at every node: one apply of the held node_operator.
+
+    Times z', the limit's omega' term -w omega' / (2 pi i) is imaginary, so no
+    derivative of omega is needed; the rest of the limit is tangential_limit * omega.
+    """
+    far = _apply(operator, omega)
+    d1x, d1y = curve.d1
+    return far.real * d1x - far.imag * d1y + curve.tangential_limit * omega
 
 
 def plemelj_velocity(

@@ -11,7 +11,9 @@ where V is the mean (principal-value) sheet velocity.  With equal viscosities
 the nonlocal term drops and omega is explicit; otherwise the relation is a
 second-kind integral equation solved here by Picard iteration, whose natural
 contraction factor is |mu_+ - mu_-| / (mu_+ + mu_-) times the norm of the
-velocity operator.
+velocity operator.  Only V . dz/dalpha enters, which needs no derivative of
+omega (kernels.tangential_velocity): an iteration is one apply of the curve's
+held operator plus O(N) work.
 
 The interior mask keeps omega exactly zero on the decay bands, consistent with
 the truncated-domain far-field closure; residuals are reported against this
@@ -32,7 +34,7 @@ from .geometry import (
     far_field_mask,
     fd_derivative,
 )
-from .kernels import VorticityStrength, node_operator, pv_all_nodes
+from .kernels import VorticityStrength, node_operator, tangential_velocity
 
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
@@ -86,10 +88,9 @@ def _picard_map(
     omega_arr: FloatArray,
     operator: np.ndarray | None = None,
 ) -> FloatArray:
-    trial = VorticityStrength(curve.grid, omega_arr, validate=False)
-    u, v = pv_all_nodes(curve, trial, operator)
-    d1x, d1y = curve.d1
-    v_dot_t = u * d1x + v * d1y
+    if operator is None:
+        operator = node_operator(curve)
+    v_dot_t = tangential_velocity(curve, omega_arr, operator)
     return mask * (rhs + params.viscosity_jump * v_dot_t) / params.viscosity_mean
 
 
@@ -103,9 +104,9 @@ def solve_vorticity_general(
     """Picard solve of the viscosity-contrast integral equation.
 
     Starts from the equal-viscosity formula with the mean viscosity and
-    iterates the fixed-point map until successive sup-norm change <= tol.
-    Every iteration applies ``operator``, the curve's node_operator, built here if not given.
-    Raises NoConvergence when the budget runs out, which signals an
+    iterates the fixed-point map, one apply of ``operator`` (the curve's
+    node_operator, built here if not given) each, until successive sup-norm
+    change <= tol.  NoConvergence when the budget runs out signals an
     under-resolved or extreme-contrast configuration rather than a bug.
     The iteration count is attached to the result as ``.iterations``.
     """

@@ -13,8 +13,10 @@ The last term contains the time derivative being solved for, so each
 evaluation resolves it by fixed-point iteration: the state is advanced by a
 virtual step dt_probe with the current rate guess, V . T is re-evaluated
 there, and the forward difference feeds back until the rate stops changing.
-The probe difference carries an O(dt_probe) bias, which is the price of
-keeping the implicit term purely evaluative.
+Each probe iteration is one apply of the probe curve's held operator in the
+omega'-free tangential form (kernels.tangential_velocity).  The probe
+difference carries an O(dt_probe) bias, which is the price of keeping the
+implicit term purely evaluative.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .geometry import (
     curvature,
     fd_derivative,
 )
-from .kernels import VorticityStrength, node_operator, pv_all_nodes
+from .kernels import VorticityStrength, node_operator, pv_all_nodes, tangential_velocity
 
 logger = logging.getLogger(__name__)
 
@@ -135,11 +137,7 @@ def omega_rhs(
     rate = explicit
     diff = np.inf
     for iteration in range(1, max_iter + 1):
-        probe_omega = VorticityStrength(
-            curve.grid, omega.omega + dt_probe * rate, validate=False
-        )
-        up, vp = pv_all_nodes(probe_curve, probe_omega, probe_operator)
-        b_probe = up * probe_curve.d1[0] + vp * probe_curve.d1[1]
+        b_probe = tangential_velocity(probe_curve, omega.omega + dt_probe * rate, probe_operator)
         new_rate = explicit + 2.0 * a * (b_probe - b0) / dt_probe
         diff = float(np.max(np.abs(new_rate - rate)))
         rate = new_rate

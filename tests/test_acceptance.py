@@ -26,7 +26,7 @@ from contourdyn.kernels import (
 from contourdyn.muskat import solve_vorticity_equal, solve_vorticity_general
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from conftest import gaussian_strength, random_smooth_pair
+from support import gaussian_strength, random_smooth_pair
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:

@@ -19,7 +19,7 @@ from contourdyn.kernels import VorticityStrength
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from conftest import bump_curve, gaussian_strength
+from support import bump_curve, gaussian_strength
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:

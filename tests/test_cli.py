@@ -240,6 +240,46 @@ class TestAnalyze:
         assert record["error"] == "ValidationError"
         assert "z2" in record["detail"]
 
+    @staticmethod
+    def analyze_lines(stable_cfg, tmp_path, capsys, header=None, record=None):
+        """Exit code and error record of analyze on a two-line snapshot file."""
+        from contourdyn.cli import initial_state
+        from contourdyn.config import parse_config
+        from contourdyn.geometry import curve_record
+        from contourdyn.io import SNAPSHOT_FORMAT
+
+        good = curve_record(initial_state(parse_config(stable_cfg)).curve, 0.0)
+        header = {"format": SNAPSHOT_FORMAT} if header is None else header
+        path = tmp_path / "snapshots.jsonl"
+        lines = (header, good if record is None else record)
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        capsys.readouterr()
+        code = main(["analyze", "--config", stable_cfg, "--in", str(path)])
+        return code, json.loads(capsys.readouterr().err.strip())
+
+    def test_header_not_an_object_exit_code(self, stable_cfg, tmp_path, capsys):
+        code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, header=[1, 2])
+        assert code == 2
+        assert record["error"] == "ValidationError"
+        assert "line 1" in record["detail"]
+
+    def test_record_not_an_object_exit_code(self, stable_cfg, tmp_path, capsys):
+        code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, record=7)
+        assert code == 2
+        assert record["error"] == "ValidationError"
+        assert "line 2" in record["detail"]
+
+    @pytest.mark.parametrize("key", ["alpha", "z1", "z2"])
+    def test_non_numeric_samples_exit_code(self, stable_cfg, tmp_path, capsys, key):
+        from contourdyn.geometry import Grid
+
+        bad = {"t": 0.0, "alpha": Grid(20.0, 32).alpha.tolist(), "z1": [0.0] * 32, "z2": [1.0] * 32}
+        bad[key] = ["x"] * 32
+        code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, record=bad)
+        assert code == 2
+        assert record["error"] == "ValidationError"
+        assert "not numeric" in record["detail"]
+
 
 class TestIdentity:
     def test_sweep_decreases(self, tmp_path, capsys):

@@ -1,17 +1,19 @@
 """Time integration: equilibria, convergence order, monitors, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from contourdyn.errors import BottomContact, StabilityFailure
 from contourdyn.evolve import SimConfig, SimState, contour_rhs, run, step
-from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
+from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, min_depth
 from contourdyn.kernels import VorticityStrength
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.io import MemorySink
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from conftest import bump_curve, gaussian_strength
+from support import bump_curve, gaussian_strength
 
 
 def stable_params(**kw) -> PhysicalParams:
@@ -125,6 +127,32 @@ class TestStep:
             for _ in range(100):
                 state = step(state, cfg)
 
+    @staticmethod
+    def stepped_bytes(state, cfg):
+        s = step(state, cfg)
+        return s.curve.z1.tobytes() + s.curve.z2.tobytes() + s.omega.omega.tobytes()
+
+    def test_accepted_field_is_the_next_k1(self, grid256):
+        # a contrast state keeps its velocity from the acceptance solve; the
+        # next step uses it as k1 and lands exactly where a fresh k1 does
+        params = stable_params(mu_plus=2.0, mu_minus=0.5)
+        cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=1.0)
+        state = step(trough_state(grid256, stable_params()), cfg)
+        assert state.field is not None and state.accepted_under == cfg
+        stripped = dataclasses.replace(state, field=None)
+        assert self.stepped_bytes(state, cfg) == self.stepped_bytes(stripped, cfg)
+
+    def test_field_from_another_config_is_not_reused(self, grid256):
+        params = stable_params(mu_plus=2.0, mu_minus=0.5)
+        accepted = SimConfig(params=params, grid=grid256, dt=0.01, t_end=1.0)
+        stepped = dataclasses.replace(accepted, params=stable_params(mu_plus=5.0, mu_minus=0.5))
+        state = step(trough_state(grid256, stable_params()), accepted)
+        stripped = dataclasses.replace(state, field=None)
+        assert self.stepped_bytes(state, stepped) == self.stepped_bytes(stripped, stepped)
+        # the guard matters: the stale field as k1 would move the result
+        forced = dataclasses.replace(state, accepted_under=stepped)
+        assert self.stepped_bytes(forced, stepped) != self.stepped_bytes(stripped, stepped)
+
     def test_surface_tension_cap_pairs(self):
         # the raw step blows up on the stiff curvature term; the capped run
         # of the same configuration completes
@@ -214,3 +242,15 @@ class TestRun:
             d1y = curve.d1[1]
             expect = params.density_jump * params.g * d1y / params.mu_plus
             assert np.allclose(omega.omega, expect, atol=1e-14)
+
+    def test_snapshots_carry_samples_only(self, grid256):
+        # a sink that keeps snapshots pins the samples, not the derived arrays
+        # the solve and the diagnostics cached on the state
+        params = stable_params(mu_plus=2.0, mu_minus=0.5)
+        cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=0.03, snapshot_every=1)
+        sink = MemorySink()
+        summary = run(cfg, trough_state(grid256, stable_params()), [sink])
+        for _, curve, omega in sink.snapshots:
+            assert not {"z", "d1", "d2", "speed_squared", "tangential_limit"} & set(vars(curve))
+            assert "d1" not in vars(omega)
+        assert min_depth(sink.snapshots[-1][1]).m == summary.final_min_depth

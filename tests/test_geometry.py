@@ -21,7 +21,7 @@ from contourdyn.geometry import (
 )
 from contourdyn.profiles import plateau_window
 
-from conftest import bump_curve, traced_peak
+from support import bump_curve, traced_peak
 
 
 def loop_curve(n: int, a: int, b: int, turn: float, close: bool = False) -> InterfaceCurve:

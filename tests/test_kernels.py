@@ -27,7 +27,7 @@ from contourdyn.kernels import (
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from conftest import bump_curve, gaussian_strength, random_smooth_pair, traced_peak
+from support import bump_curve, gaussian_strength, random_smooth_pair, traced_peak
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
@@ -318,6 +318,37 @@ class TestOneOperator:
             omega = gaussian_strength(curve.grid, amplitude=0.3)
         assert_fused_matches_held(curve, omega)
 
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("config", ["stable_relaxation", "internal_wave", "unstable_pinch"])
+    def test_tangential_velocity_matches_pv_dot_tangent(self, config, n):
+        # the omega'-free form equals the full velocity dotted with dz/dalpha:
+        # per node within sqrt(N) eps of the sum of the absolute terms
+        state = initial_state(with_grid(parse_config(str(CONFIGS / f"{config}.cfg")), n))
+        curve, omega = state.curve, state.omega
+        if not np.any(omega.omega):  # the wave config starts from rest
+            omega = gaussian_strength(curve.grid, amplitude=0.3)
+        op = kernels.node_operator(curve)
+        u, v = pv_all_nodes(curve, omega, op)
+        d1x, d1y = curve.d1
+        v_dot_t = kernels.tangential_velocity(curve, omega.omega, op)
+        limit = kernels.diagonal_limit(curve, omega.omega, omega.d1)
+        w = curve.grid.trapezoid_weights
+        terms = np.abs(omega.omega) @ np.abs(op) + w * np.abs(limit) / (2 * np.pi)
+        tol = np.sqrt(n) * np.finfo(np.float64).eps * terms * np.sqrt(curve.speed_squared)
+        assert np.all(np.abs(v_dot_t - (u * d1x + v * d1y)) <= tol)
+
+    def test_second_contrast_step_reuses_accepted_field(self):
+        # the accepted state's solve holds the operator, so its velocity is
+        # the next step's k1: three stage operators and the accepted one
+        parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), 128)
+        params = dataclasses.replace(parsed.sim.params, mu_plus=2.0, mu_minus=0.5)
+        parsed = dataclasses.replace(parsed, sim=dataclasses.replace(parsed.sim, params=params))
+        state = step(initial_state(parsed), parsed.sim)
+        before = dict(kernels.pair_passes)
+        step(state, parsed.sim)
+        counts = {k: kernels.pair_passes[k] - before[k] for k in before}
+        assert counts == {"fused": 0, "assembly": 4}
+
     def test_no_runtime_warnings(self, grid256):
         curve = bump_curve(grid256, 0.3)
         omega = gaussian_strength(grid256, amplitude=0.9)
@@ -325,6 +356,7 @@ class TestOneOperator:
             warnings.simplefilter("error")
             pv_all_nodes(curve, omega)
             pv_all_nodes(curve, omega, kernels.node_operator(curve))
+            kernels.tangential_velocity(curve, omega.omega, kernels.node_operator(curve))
             pv_boundary_integral(curve, omega, 128)
             plemelj_velocity(curve, omega, 100, "plus")
             velocity_at_point(curve, omega, (0.5, 3.0))

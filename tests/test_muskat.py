@@ -1,8 +1,13 @@
 """Darcy vorticity closure: closed forms, Picard solve, dense oracle."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contourdyn.cli import initial_state
+from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import ValidationError
 from contourdyn.geometry import (
     Grid,
@@ -11,6 +16,7 @@ from contourdyn.geometry import (
     PhysicalParams,
     far_field_mask,
 )
+from contourdyn.kernels import VorticityStrength, node_operator, pv_all_nodes
 from contourdyn.muskat import (
     solve_vorticity_equal,
     solve_vorticity_general,
@@ -18,6 +24,8 @@ from contourdyn.muskat import (
     vorticity_rhs,
 )
 from contourdyn.profiles import plateau_window
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def trig_curve(n: int, amplitude: float = 0.1) -> InterfaceCurve:
@@ -199,6 +207,30 @@ class TestGeneralViscosity:
         contrast = abs(params.viscosity_jump) / (2.0 * params.viscosity_mean)
         ratios = [diffs[k + 1] / diffs[k] for k in range(len(diffs) - 1) if diffs[k] > 0]
         assert max(ratios) <= contrast + 0.1
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("mu_plus,mu_minus", [(2.0, 0.5), (1.1, 0.9), (5.0, 0.5)])
+    def test_iterations_match_full_velocity_map(self, mu_plus, mu_minus, n):
+        # the tangential form changes the map's roundoff only: the iteration
+        # count equals that of a loop dotting the full velocity with the tangent
+        parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), n)
+        curve = initial_state(parsed).curve
+        params = dataclasses.replace(parsed.sim.params, mu_plus=mu_plus, mu_minus=mu_minus)
+        op = node_operator(curve)
+        rhs = vorticity_rhs(curve, params)
+        mask = far_field_mask(curve.grid)
+        d1x, d1y = curve.d1
+        om = mask * rhs / params.viscosity_mean
+        for reference in range(1, 201):
+            u, v = pv_all_nodes(curve, VorticityStrength(curve.grid, om, validate=False), op)
+            new = mask * (rhs + params.viscosity_jump * (u * d1x + v * d1y)) / params.viscosity_mean
+            diff = float(np.max(np.abs(new - om)))
+            om = new
+            if diff <= 1e-10:
+                break
+        omega = solve_vorticity_general(curve, params, operator=op)
+        assert omega.iterations == reference
+        assert np.max(np.abs(omega.omega - om)) <= 1e-13 * np.max(np.abs(om))
 
     def test_omega_inherits_decay(self):
         g = Grid(20.0, 256)

@@ -9,7 +9,7 @@ from contourdyn.kernels import VorticityStrength, pv_all_nodes
 from contourdyn.profiles import plateau_window
 from contourdyn.waterwaves import WaveState, bracket_term, omega_rhs
 
-from conftest import bump_curve, gaussian_strength
+from support import bump_curve, gaussian_strength
 
 
 def wave_params(**kw) -> PhysicalParams:
