@@ -46,7 +46,7 @@ from .analysis import (
     identity_defect,
     log_bound_ratio,
 )
-from .evolve import RunSummary, SimConfig, SimState, contour_rhs, run, step
+from .evolve import RunSummary, SimConfig, SimState, run, step
 from .muskat import (
     solve_vorticity,
     solve_vorticity_equal,

@@ -43,6 +43,11 @@ from .kernels import VorticityStrength, cauchy_pair, diagonal_limit
 
 TWO_PI = 2.0 * np.pi
 
+# Caps on the curve's C0-C2 norms (and omega's C1 norm in a report) and on the
+# chord-arc constant: a run stops past them, a report flags them.
+BLOWUP_CAP = 1e3
+CHORD_ARC_CAP = 1e3
+
 # Nodes closer to the evaluation point than this fraction of a cell switch to
 # the analytic limit of the desingularized integrand.
 _LIMIT_SWITCH = 1e-3
@@ -372,8 +377,8 @@ def continuation_report(
     omega: VorticityStrength,
     params: PhysicalParams,
     t: float = 0.0,
-    norm_cap: float = 1e3,
-    chord_arc_cap: float = 1e3,
+    norm_cap: float = BLOWUP_CAP,
+    chord_arc_cap: float = CHORD_ARC_CAP,
 ) -> ContinuationReport:
     """Collect every continuation-hypothesis quantity and flag exceeded caps."""
     _ = params  # physics currently informs no extra hypothesis quantity

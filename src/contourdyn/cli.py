@@ -51,7 +51,7 @@ def initial_state(parsed: ParsedConfig) -> SimState:
     sim = parsed.sim
     curve, omega = build_initial(parsed.initial, sim.grid)
     if sim.params.model is Model.MUSKAT:
-        omega = solve_vorticity(curve, sim.params, sim.picard_tol, sim.picard_max_iter)
+        omega = solve_vorticity(curve, sim.params)
     return SimState(curve=curve, omega=omega, t=0.0)
 
 
@@ -82,10 +82,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not -len(snapshots) <= args.index < len(snapshots):
         raise ValidationError(f"no snapshot {args.index} among the {len(snapshots)} stored")
     t, curve = snapshots[args.index]
-    sim = parsed.sim
-    params = sim.params
+    params = parsed.sim.params
     if params.model is Model.MUSKAT:
-        omega = solve_vorticity(curve, params, sim.picard_tol, sim.picard_max_iter)
+        omega = solve_vorticity(curve, params)
         omega_source = "model closure"
     else:
         omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
@@ -132,7 +131,10 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     data = read_diagnostics(args.infile)
-    fit = fit_double_exponential(data["t"], data["m"], fit_slack=args.slack)
+    missing = [name for name in ("t", "m") if name not in data]
+    if missing:
+        raise ValidationError(f"no column {', '.join(missing)} in {args.infile}")
+    fit = fit_double_exponential(data["t"], data["m"])
     record = dataclasses.asdict(fit)
     record["version"] = __version__
     print(json.dumps(record, indent=2))
@@ -171,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "fit", help="double-exponential bound fit of a diagnostics CSV", parents=[common]
     )
     p_fit.add_argument("--in", dest="infile", required=True, help="diagnostics.csv path")
-    p_fit.add_argument("--slack", type=float, default=1e-2, help="certificate slack")
     p_fit.set_defaults(func=_cmd_fit)
     return parser
 

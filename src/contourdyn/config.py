@@ -58,14 +58,7 @@ _OUTPUT_KEYS = {
     "dt": float,
     "t_end": float,
     "snapshot_every": int,
-    "cfl_safety": float,
-    "picard_tol": float,
-    "picard_max_iter": int,
-    "implicit_tol": float,
-    "implicit_max_iter": int,
     "contact_tol": float,
-    "blowup_cap": float,
-    "chord_arc_cap": float,
 }
 _SECTIONS = {
     "model": _MODEL_KEYS,

@@ -28,7 +28,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from . import muskat, waterwaves
-from .analysis import DepthDiagnostics, depth_rate
+from .analysis import BLOWUP_CAP, CHORD_ARC_CAP, DepthDiagnostics, depth_rate
 from .errors import (
     BottomContact,
     ContourError,
@@ -50,8 +50,9 @@ from .kernels import VorticityStrength, node_operator, pv_all_nodes
 logger = logging.getLogger(__name__)
 
 CONTACT_TOL = 1e-4
-BLOWUP_CAP = 1e3
-CHORD_ARC_CAP = 1e3
+# 0.125 puts the capped step inside the RK4 stability region for the
+# stiffest resolved curvature mode (|lambda| dt = 0.125 * pi^3 / 2 < 2.79).
+CFL_SAFETY = 0.125
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,15 @@ class SimConfig:
     dt: float
     t_end: float
     snapshot_every: int = 10
-    # 0.125 puts the capped step inside the RK4 stability region for the
-    # stiffest resolved curvature mode (|lambda| dt = 0.125 * pi^3 / 2 < 2.79).
-    cfl_safety: float = 0.125
-    picard_tol: float = muskat.PICARD_TOL
-    picard_max_iter: int = muskat.PICARD_MAX_ITER
-    implicit_tol: float = waterwaves.IMPLICIT_TOL
-    implicit_max_iter: int = waterwaves.MAX_IMPLICIT_ITER
     contact_tol: float = CONTACT_TOL
-    blowup_cap: float = BLOWUP_CAP
-    chord_arc_cap: float = CHORD_ARC_CAP
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
+        if not (np.isfinite(self.contact_tol) and self.contact_tol >= 0.0):
+            raise ValueError(f"contact_tol must be finite and non-negative, got {self.contact_tol}")
 
     @property
     def model(self) -> Model:
@@ -92,10 +84,10 @@ class SimConfig:
             return self.dt
         h = self.grid.spacing
         if self.model is Model.MUSKAT:
-            cap = self.cfl_safety * h**3 * self.params.viscosity_mean / self.params.gamma
+            cap = CFL_SAFETY * h**3 * self.params.viscosity_mean / self.params.gamma
         else:
             rho_total = self.params.rho_plus + self.params.rho_minus
-            cap = self.cfl_safety * h**1.5 * np.sqrt(rho_total / self.params.gamma)
+            cap = CFL_SAFETY * h**1.5 * np.sqrt(rho_total / self.params.gamma)
         return min(self.dt, float(cap))
 
 
@@ -129,26 +121,11 @@ class RunSummary:
     message: str = ""
 
 
-def contour_rhs(
-    curve: InterfaceCurve, omega: VorticityStrength, c: FloatArray | None = None, operator=None
-) -> tuple[FloatArray, FloatArray]:
-    """Curve velocity: principal-value integral plus tangential redistribution."""
-    u, v = pv_all_nodes(curve, omega, operator)
-    if c is not None:
-        c = np.asarray(c, dtype=np.float64)
-        d1x, d1y = curve.d1
-        u = u + c * d1x
-        v = v + c * d1y
-    return u, v
-
-
 def _muskat_field(curve: InterfaceCurve, config: SimConfig, mask: FloatArray):
     """(omega, masked velocity); a contrast's Picard solve and velocity share one operator."""
     operator = None if muskat.equal_viscosity(config.params) else node_operator(curve)
-    omega = muskat.solve_vorticity(
-        curve, config.params, config.picard_tol, config.picard_max_iter, operator
-    )
-    u, v = contour_rhs(curve, omega, operator=operator)
+    omega = muskat.solve_vorticity(curve, config.params, operator)
+    u, v = pv_all_nodes(curve, omega, operator)
     return omega, np.stack((mask * u, mask * v))
 
 
@@ -158,10 +135,7 @@ def _waves_field(y: FloatArray, config: SimConfig, mask: FloatArray, dt_probe: f
     omega = VorticityStrength(config.grid, y[2], validate=False)
     state = waterwaves.WaveState(curve, omega)
     u, v = state.velocity
-    om_rate = waterwaves.omega_rhs(
-        state, config.params, dt_probe=dt_probe, tol=config.implicit_tol,
-        max_iter=config.implicit_max_iter,
-    )
+    om_rate = waterwaves.omega_rhs(state, config.params, dt_probe=dt_probe)
     return np.stack((mask * u, mask * v, mask * om_rate))
 
 
@@ -174,9 +148,9 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
     if md.m <= config.contact_tol:
         raise BottomContact(t_new, md.m)
     worst = max(holder_norms(curve))
-    if worst > config.blowup_cap:
+    if worst > BLOWUP_CAP:
         raise StabilityFailure(t_new, "curve C2 norm", worst)
-    if curve.chord_arc > config.chord_arc_cap:
+    if curve.chord_arc > CHORD_ARC_CAP:
         raise StabilityFailure(t_new, "chord-arc constant", curve.chord_arc)
     curve.check_invariants()
     if config.model is not Model.MUSKAT:

@@ -135,16 +135,12 @@ def solve_vorticity_general(
 
 
 def solve_vorticity(
-    curve: InterfaceCurve,
-    params: PhysicalParams,
-    tol: float = PICARD_TOL,
-    max_iter: int = PICARD_MAX_ITER,
-    operator: np.ndarray | None = None,
+    curve: InterfaceCurve, params: PhysicalParams, operator: np.ndarray | None = None
 ) -> VorticityStrength:
     """Strength from the closure: explicit for equal viscosities, Picard otherwise."""
     if equal_viscosity(params):
         return solve_vorticity_equal(curve, params)
-    return solve_vorticity_general(curve, params, tol=tol, max_iter=max_iter, operator=operator)
+    return solve_vorticity_general(curve, params, operator=operator)
 
 
 def vorticity_residual(

@@ -4,7 +4,6 @@ With A the density contrast (Atwood number), V the mean sheet velocity and
 T = dz/dalpha, the sheet strength evolves as
 
     d(omega)/dt = -d/dalpha [ A |V|^2 - (A/4) omega^2 / |T|^2
-                              + 2 A c (V . T) - c omega
                               - 2 gamma kappa / (rho_+ + rho_-)
                               - 2 A g z2 ]
                   + 2 A d/dt [ V . T ].
@@ -67,30 +66,16 @@ def _require_waves(params: PhysicalParams) -> None:
         raise ValidationError("operation requires water-wave physics")
 
 
-def _tangential(curve: InterfaceCurve, c: FloatArray | None) -> FloatArray:
-    if c is None:
-        return np.zeros(curve.grid.node_count)
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (curve.grid.node_count,):
-        raise ValidationError("tangential speed must be sampled on the grid")
-    return c
-
-
-def bracket_term(state: WaveState, params: PhysicalParams, c: FloatArray | None = None) -> FloatArray:
+def bracket_term(state: WaveState, params: PhysicalParams) -> FloatArray:
     """The quantity differentiated in the transport part of the omega equation."""
     _require_waves(params)
     curve, omega = state.curve, state.omega
-    c_arr = _tangential(curve, c)
     a = params.atwood
     u, v = state.velocity
-    d1x, d1y = curve.d1
-    v_dot_t = u * d1x + v * d1y
     rho_total = params.rho_plus + params.rho_minus
     bracket = (
         a * (u * u + v * v)
         - 0.25 * a * omega.omega**2 / curve.speed_squared
-        + 2.0 * a * c_arr * v_dot_t
-        - c_arr * omega.omega
         - 2.0 * a * params.g * curve.z2
     )
     if params.gamma != 0.0:
@@ -101,7 +86,6 @@ def bracket_term(state: WaveState, params: PhysicalParams, c: FloatArray | None 
 def omega_rhs(
     state: WaveState,
     params: PhysicalParams,
-    c: FloatArray | None = None,
     dt_probe: float = 1e-3,
     tol: float = IMPLICIT_TOL,
     max_iter: int = MAX_IMPLICIT_ITER,
@@ -115,21 +99,18 @@ def omega_rhs(
     if dt_probe <= 0.0:
         raise ValidationError(f"dt_probe must be positive, got {dt_probe}")
     curve, omega = state.curve, state.omega
-    c_arr = _tangential(curve, c)
     a = params.atwood
     h = curve.grid.spacing
 
-    explicit = -fd_derivative(bracket_term(state, params, c), h, 1, edge_value=0.0)
+    explicit = -fd_derivative(bracket_term(state, params), h, 1, edge_value=0.0)
     if a == 0.0:
         return explicit
 
     u, v = state.velocity
     d1x, d1y = curve.d1
     b0 = u * d1x + v * d1y
-    zdot1 = u + c_arr * d1x
-    zdot2 = v + c_arr * d1y
     probe_curve = InterfaceCurve(
-        curve.grid, curve.z1 + dt_probe * zdot1, curve.z2 + dt_probe * zdot2, validate=False
+        curve.grid, curve.z1 + dt_probe * u, curve.z2 + dt_probe * v, validate=False
     )
     probe_curve.require_resolved()
     probe_operator = node_operator(probe_curve)

@@ -119,6 +119,49 @@ class TestRun:
         assert record["error"] == "ParseError"
         assert record["line"] == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dt", "nan"),
+            ("dt", "inf"),
+            ("t_end", "nan"),
+            ("t_end", "inf"),
+            ("contact_tol", "nan"),
+            ("contact_tol", "inf"),
+            ("contact_tol", "-0.001"),
+        ],
+    )
+    def test_bad_run_length_exit_code(self, tmp_path, capsys, key, value):
+        output = {"dt": "0.01", "t_end": "0.02", key: value}
+        bad = tmp_path / "bad.cfg"
+        lines = [f"{k} = {v}\n" for k, v in output.items()]
+        bad.write_text("[grid]\nN = 128\n[output]\n" + "".join(lines))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert key in record["detail"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cfl_safety", "0.125"),
+            ("picard_tol", "1e-10"),
+            ("picard_max_iter", "200"),
+            ("implicit_tol", "1e-10"),
+            ("implicit_max_iter", "50"),
+            ("blowup_cap", "1000.0"),
+            ("chord_arc_cap", "1000.0"),
+        ],
+    )
+    def test_removed_key_rejected(self, tmp_path, capsys, key, value):
+        # the solver limits are constants, so the keys are unknown whatever their value
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[grid]\nN = 128\n[output]\nt_end = 0.02\n{key} = {value}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParseError"
+        assert record["line"] == 5
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
@@ -193,24 +236,6 @@ class TestAnalyze:
         assert record["verdict"] == "criteria satisfied"
         assert abs(record["identity_Itilde"] - record["identity_I"] - np.pi) < 1e-3
         assert record["omega_source"] == "model closure"
-
-    def test_analyze_uses_config_picard_budget(self, tmp_path, capsys):
-        # the closure solve in analyze obeys the config's Picard settings
-        contrast = STABLE_CFG.replace(
-            "rho_minus = 2.0\n", "rho_minus = 2.0\nmu_plus = 2.0\nmu_minus = 0.5\n"
-        )
-        cfg = tmp_path / "contrast.cfg"
-        cfg.write_text(contrast)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        starved = tmp_path / "starved.cfg"
-        starved.write_text(contrast + "picard_max_iter = 1\n")
-        capsys.readouterr()
-        code = main(["analyze", "--config", str(starved), "--in", str(out / "snapshots.jsonl")])
-        assert code == 3
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "NoConvergence"
-
 
     def test_index_out_of_range_exit_code(self, stable_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -322,3 +347,13 @@ class TestFit:
         assert main(["fit", "--in", str(csv)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("column", ["t", "m"])
+    def test_missing_column_exit_code(self, tmp_path, capsys, column):
+        csv = tmp_path / "diag.csv"
+        header = "t,m".replace(column, "dmdt")
+        csv.write_text(f"{header}\n0.0,0.5\n1.0,0.4\n2.0,0.3\n3.0,0.2\n")
+        assert main(["fit", "--in", str(csv)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert f"no column {column}" in record["detail"]

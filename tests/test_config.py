@@ -1,8 +1,11 @@
 """Configuration parsing, validation, and canonical round-trips."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from contourdyn.config import parse_config_text, with_grid
+from contourdyn.config import _SECTIONS, parse_config_text, with_grid
 from contourdyn.errors import ParseError, ValidationError
 from contourdyn.geometry import Model
 
@@ -115,8 +118,20 @@ class TestRoundTrip:
 
     def test_all_defaults_explicit(self):
         parsed = parse_config_text(MINIMAL)
-        for key in ("mu_plus", "rho_minus", "gamma", "dt", "t_end", "picard_tol"):
+        for key in ("mu_plus", "rho_minus", "gamma", "dt", "t_end", "contact_tol"):
             assert key in parsed.text
+
+    def test_readme_block_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        documented = {}
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = documented.setdefault(line[1:-1], [])
+            elif line:
+                section.append(line.partition("=")[0].strip())
+        assert documented == {name: list(keys) for name, keys in _SECTIONS.items()}
 
     def test_hash_stability(self):
         a = parse_config_text(MINIMAL)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contourdyn.errors import BottomContact, StabilityFailure
-from contourdyn.evolve import SimConfig, SimState, contour_rhs, run, step
+from contourdyn.evolve import SimConfig, SimState, pv_all_nodes, run, step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, min_depth
 from contourdyn.kernels import VorticityStrength
 from contourdyn.muskat import solve_vorticity_equal
@@ -42,24 +42,15 @@ class TestContourRhs:
     def test_zero_strength(self, grid256):
         curve = bump_curve(grid256, 0.2)
         omega = VorticityStrength(grid256, np.zeros(grid256.node_count))
-        u, v = contour_rhs(curve, omega)
+        u, v = pv_all_nodes(curve, omega)
         assert np.all(u == 0.0) and np.all(v == 0.0)
-
-    def test_tangential_term(self, grid256):
-        curve = bump_curve(grid256, 0.2)
-        omega = VorticityStrength(grid256, np.zeros(grid256.node_count))
-        c = 0.3 * plateau_window(grid256.alpha, 5.0, 5.0)
-        u, v = contour_rhs(curve, omega, c=c)
-        d1x, d1y = curve.d1
-        assert np.allclose(u, c * d1x, atol=1e-15)
-        assert np.allclose(v, c * d1y, atol=1e-15)
 
     def test_translation_equivariance(self, grid256):
         curve = bump_curve(grid256, 0.2)
         omega = gaussian_strength(grid256, amplitude=0.6)
         shifted = InterfaceCurve(grid256, curve.z1 + 2.5, curve.z2, validate=False)
-        u0, v0 = contour_rhs(curve, omega)
-        u1, v1 = contour_rhs(shifted, omega)
+        u0, v0 = pv_all_nodes(curve, omega)
+        u1, v1 = pv_all_nodes(shifted, omega)
         assert np.allclose(u0, u1, atol=1e-11)
         assert np.allclose(v0, v1, atol=1e-11)
 

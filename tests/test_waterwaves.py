@@ -6,7 +6,6 @@ import pytest
 from contourdyn.errors import ValidationError
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
 from contourdyn.kernels import VorticityStrength, pv_all_nodes
-from contourdyn.profiles import plateau_window
 from contourdyn.waterwaves import WaveState, bracket_term, omega_rhs
 
 from support import bump_curve, gaussian_strength
@@ -89,17 +88,6 @@ class TestOmegaRhs:
         rate = omega_rhs(state, params, dt_probe=0.01)
         band = grid256.band_mask
         assert np.max(np.abs(rate[band])) <= 1e-2 * np.max(np.abs(rate))
-
-    def test_tangential_speed_accepted(self, grid256):
-        params = wave_params()
-        curve = bump_curve(grid256, 0.1)
-        omega = gaussian_strength(grid256, amplitude=0.2)
-        state = WaveState(curve, omega)
-        c = 0.1 * plateau_window(grid256.alpha, 5.0, 5.0)
-        rate_c = omega_rhs(state, params, c=c, dt_probe=0.01)
-        rate_0 = omega_rhs(state, params, dt_probe=0.01)
-        assert rate_c.shape == rate_0.shape
-        assert not np.allclose(rate_c, rate_0)
 
     def test_bad_probe(self, grid256):
         with pytest.raises(ValidationError):
