@@ -26,6 +26,7 @@ decays only like 1/distance and must not be dropped.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,6 +284,14 @@ def identity_defect(curve: InterfaceCurve, j_star: int | None = None) -> tuple[f
     return value_i, value_it, abs(value_it - value_i - np.pi)
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Sign change of f on [lo, hi] to 1e-14 absolute plus relative: the end with f >= 0."""
+    while hi - lo > 1e-14 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return hi
+
+
 def fit_double_exponential(
     t: FloatArray, m: FloatArray, fit_slack: float = 1e-2
 ) -> BoundFit:
@@ -291,10 +300,10 @@ def fit_double_exponential(
     A one-dimensional least-squares fit of log log(1/m) against C t + log C
     gives the growth rate; if the fitted bound fails to lie below the samples
     (within ``fit_slack``), C is raised to the smallest certifying value, so
-    the returned fit always certifies the series when one exists.
+    the returned fit always certifies the series when one exists.  Both are
+    numpy bisections (``_bisect``, 1e-14 absolute plus relative): of the
+    objective's derivative on [1e-8, c_hi], and of the certificate's gap.
     """
-    from scipy.optimize import brentq, minimize_scalar
-
     t = np.asarray(t, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     if t.shape != m.shape or t.ndim != 1:
@@ -312,15 +321,13 @@ def fit_double_exponential(
 
     y = np.log(np.log(1.0 / m))
 
-    def objective(c: float) -> float:
-        r = y - c * t - np.log(c)
-        return float(np.dot(r, r))
+    def residual(c: float) -> FloatArray:
+        return y - c * t - np.log(c)
 
     slope = max((y[-1] - y[0]) / (t[-1] - t[0]), 0.0)
     c_hi = max(10.0, 4.0 * slope, 2.0 * float(np.exp(np.max(y))))
-    res = minimize_scalar(objective, bounds=(1e-8, c_hi), method="bounded",
-                          options={"xatol": 1e-12})
-    c_lsq = float(res.x)
+    # d/dc |r|^2 = -2 r . (t + 1/c); its sign change is the least-squares C.
+    c_lsq = _bisect(lambda c: -float(np.dot(residual(c), t + 1.0 / c)), 1e-8, c_hi)
 
     # Smallest C whose bound stays below every sample with the given slack.
     q = np.log((1.0 - fit_slack) / m)
@@ -338,12 +345,12 @@ def fit_double_exponential(
             hi *= 2.0
             if hi > 1e12:
                 raise FitFailure("no certifying constant below 1e12")
-        c_cert = float(brentq(gap, 1e-8, hi, xtol=1e-14, rtol=1e-14))
+        c_cert = _bisect(gap, 1e-8, hi)
 
     c_fit = max(c_lsq, c_cert)
     if c_fit <= 0.0:
         raise FitFailure("fit produced a non-positive constant")
-    resid = float(np.sqrt(objective(c_fit) / t.size))
+    resid = float(np.sqrt(np.mean(residual(c_fit) ** 2)))
     certified = gap(c_fit) >= -1e-12
     return BoundFit(
         C_fit=c_fit,

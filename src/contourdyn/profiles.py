@@ -52,6 +52,9 @@ class InitialSpec:
     omega_sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value}")
         if self.profile not in PROFILES:
             raise ValidationError(f"unknown profile {self.profile!r}; choose from {PROFILES}")
         if self.omega_profile not in OMEGA_PROFILES:

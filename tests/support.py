@@ -52,3 +52,33 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def scipy_double_exponential(t, m, fit_slack: float = 1e-2) -> tuple[float, bool]:
+    """(C_fit, certified) of ``fit_double_exponential`` solved with scipy.optimize.
+
+    The same objective, brackets and certificate, with a bounded Brent
+    minimization for the least-squares C and brentq for the certifying C.
+    """
+    from scipy.optimize import brentq, minimize_scalar
+
+    t, m = np.asarray(t, dtype=np.float64), np.asarray(m, dtype=np.float64)
+    y = np.log(np.log(1.0 / m))
+    slope = max((y[-1] - y[0]) / (t[-1] - t[0]), 0.0)
+    c_hi = max(10.0, 4.0 * slope, 2.0 * float(np.exp(np.max(y))))
+    c_lsq = minimize_scalar(lambda c: float(np.sum((y - c * t - np.log(c)) ** 2)),
+                            bounds=(1e-8, c_hi), method="bounded", options={"xatol": 1e-12}).x
+    q = np.log((1.0 - fit_slack) / m)
+    active = q > 0.0
+
+    def gap(c: float) -> float:
+        return float(np.min(c * t[active] + np.log(c) - np.log(q[active]))) if np.any(active) else 1.0
+
+    c_cert = 1e-8
+    if gap(c_cert) < 0.0:
+        hi = max(c_hi, 1.0)
+        while gap(hi) < 0.0:
+            hi *= 2.0
+        c_cert = brentq(gap, 1e-8, hi, xtol=1e-14, rtol=1e-14)
+    c_fit = max(float(c_lsq), float(c_cert))
+    return c_fit, gap(c_fit) >= -1e-12

@@ -233,6 +233,28 @@ def test_criterion_8_double_exponential_fit(rt_stable_run):
     )
 
 
+@pytest.mark.parametrize("c_true", [0.5, 0.75, 1.0, 1.25, 1.5])
+def test_double_exponential_fit_recovers_synthetic_constant(c_true):
+    t = np.linspace(0.0, 2.0, 50)
+    fit = fit_double_exponential(t, np.exp(-c_true * np.exp(c_true * t)))
+    assert abs(fit.C_fit - c_true) <= 1e-9
+    assert fit.certified
+
+
+def test_double_exponential_certificate_is_minimal(rt_stable_run):
+    # the relaxing series is certified by the gap's root, not the least-squares C
+    _, sink = rt_stable_run
+    ts = np.array([d.t for d in sink.diagnostics])
+    ms = np.array([d.m for d in sink.diagnostics])
+    slack = 1e-2
+    fit = fit_double_exponential(ts, ms, fit_slack=slack)
+    assert fit.certified
+    below = fit.C_fit * (1.0 - 1e-9)
+    bound = np.exp(-below * np.exp(below * ts))
+    active = ms < 1.0 - slack
+    assert np.any(active & (ms < bound * (1.0 - slack)))
+
+
 def test_criterion_9_equilibria_and_order():
     grid = Grid(20.0, 128)
     worst_drift = 0.0

@@ -19,7 +19,7 @@ from contourdyn.kernels import VorticityStrength
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import bump_curve, gaussian_strength
+from support import bump_curve, gaussian_strength, scipy_double_exponential
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
@@ -184,6 +184,16 @@ class TestIdentity:
         assert defects[2] < defects[0]
 
 
+FIT_T = np.linspace(0.0, 2.0, 50)
+SINE_T = np.linspace(0.0, 1.0, 12)
+# Synthetic double exponentials, and the constant and sine series of the tests below.
+ORACLE_SERIES = {
+    **{f"C{c}": (FIT_T, np.exp(-c * np.exp(c * FIT_T))) for c in (0.5, 0.75, 1.0, 1.25, 1.5)},
+    "constant": (np.linspace(0.0, 2.0, 10), np.full(10, 0.5)),
+    "sine": (SINE_T, 0.7 + 0.05 * np.sin(3.0 * SINE_T)),
+}
+
+
 class TestBoundFit:
     def test_synthetic_double_exponential(self):
         t = np.linspace(0.0, 2.0, 40)
@@ -216,6 +226,14 @@ class TestBoundFit:
         bound = np.exp(-fit.C_fit * np.exp(fit.C_fit * t))
         assert np.all(m >= bound * (1.0 - fit.fit_slack) - 1e-12)
         assert fit.certified
+
+    @pytest.mark.parametrize("name", ORACLE_SERIES)
+    def test_matches_scipy_oracle(self, name):
+        t, m = ORACLE_SERIES[name]
+        fit = fit_double_exponential(t, m)
+        c_oracle, certified = scipy_double_exponential(t, m)
+        assert fit.C_fit == pytest.approx(c_oracle, rel=1e-8)
+        assert fit.certified == certified
 
     @pytest.mark.parametrize(
         "t,m",

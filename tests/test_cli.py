@@ -1,6 +1,10 @@
 """End-to-end command-line behavior and output file contracts."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +166,27 @@ class TestRun:
         assert record["error"] == "ParseError"
         assert record["line"] == 5
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["amplitude", "window_flat", "window_ramp", "delta", "z1_wiggle",
+         "omega_amplitude", "omega_center", "omega_sigma"],
+    )
+    def test_non_finite_initial_exit_code(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "[grid]\nN = 128\n[initial]\nprofile = cosine\nomega_profile = gaussian\n"
+            f"{key} = {value}\n[output]\nt_end = 0.02\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not caught
+        # the JSON error record is all of stderr
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert key in record["detail"]
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
@@ -304,6 +329,28 @@ class TestAnalyze:
         assert code == 2
         assert record["error"] == "ValidationError"
         assert "not numeric" in record["detail"]
+
+
+class TestRuntimeImports:
+    def test_fit_and_analyze_do_not_import_scipy(self, stable_cfg, tmp_path):
+        import contourdyn
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", stable_cfg, "--out", str(out)]) == 0
+        src = str(Path(contourdyn.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        for argv in (
+            ["fit", "--in", str(out / "diagnostics.csv")],
+            ["analyze", "--config", stable_cfg, "--in", str(out / "snapshots.jsonl")],
+        ):
+            probe = (
+                "import sys\nfrom contourdyn.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            )
+            done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
 
 
 class TestIdentity:

@@ -17,6 +17,8 @@ from contourdyn.io import MemorySink
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial
 
+from support import scipy_double_exponential
+
 
 @pytest.fixture(scope="module")
 def contact_run():
@@ -55,6 +57,17 @@ def test_recorded_series_is_certified(contact_run):
     assert fit.certified
     bound = np.exp(-fit.C_fit * np.exp(fit.C_fit * t))
     assert np.all(m >= bound * (1.0 - 1e-2) - 1e-12)
+
+
+def test_fit_matches_scipy_oracle(contact_run):
+    # the run of configs/unstable_pinch.cfg
+    _, sink, _ = contact_run
+    t = np.array([d.t for d in sink.diagnostics])
+    m = np.array([d.m for d in sink.diagnostics])
+    fit = fit_double_exponential(t, m, fit_slack=1e-2)
+    c_oracle, certified = scipy_double_exponential(t, m, fit_slack=1e-2)
+    assert fit.C_fit == pytest.approx(c_oracle, rel=1e-8)
+    assert fit.certified == certified
 
 
 def test_ratio_growth_tracks_norm_growth(contact_run):
