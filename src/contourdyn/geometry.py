@@ -9,8 +9,9 @@ gives the finite-difference stencils known boundary values.
 
 All operations here are pure functions of immutable samples; derived arrays are
 cached on the owning object and are safe to share across threads.  The one
-O(N^2) pass, chord_arc_constant, walks the node pairs by parameter offset in
-blocks, so its memory stays O(block N) at any N.
+O(N^2) pass, chord_arc_constant, reads the node pairs at parameter offset k as
+row k of one shifted view of the samples and differences a block of rows at a
+time into two reused buffers, so its memory stays O(block N) at any N.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ DECAY_BAND = 8
 ARC_FLOOR = 1e-8
 COLLISION_TOL = 1e-10
 # Parameter offsets per block of the chord-arc pass.
-CHORD_ARC_BLOCK = 64
+CHORD_ARC_BLOCK = 32
 
 FloatArray = np.ndarray
 
@@ -82,6 +83,30 @@ class Grid:
         band = min(DECAY_BAND, self.node_count // 2)
         mask[:band] = True
         mask[self.node_count - band:] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def far_field_mask(self) -> FloatArray:
+        """Smooth cutoff that is 0 on the decay bands and 1 in the interior.
+
+        Evolution right-hand sides are multiplied by this mask so the truncated
+        domain keeps its exact flat far field; the suppressed motion is the
+        O(1/distance^2) far tail that the truncation drops anyway.
+        """
+        n = self.node_count
+        band = min(DECAY_BAND, n // 2)
+        ramp = max(band, n // 16)
+        mask = np.where(self.band_mask, 0.0, 1.0)
+        for k in range(ramp):
+            s = (k + 1.0) / (ramp + 1.0)
+            value = 0.5 - 0.5 * np.cos(np.pi * s)
+            left = band + k
+            right = n - 1 - band - k
+            if left >= right:
+                break
+            mask[left] = min(mask[left], value)
+            mask[right] = min(mask[right], value)
         mask.flags.writeable = False
         return mask
 
@@ -277,35 +302,44 @@ def curvature(curve: InterfaceCurve) -> FloatArray:
 def chord_arc_constant(curve: InterfaceCurve) -> float:
     """Max over node pairs of parameter distance over chord length.
 
-    Walks the pairs (i, i + k) once, CHORD_ARC_BLOCK offsets k at a time, in
-    O(block N) memory; every pair at offset k is k h apart in alpha, so only
-    the shortest chord per offset matters.  Raises SelfIntersection if any
-    pair of distinct nodes is closer than COLLISION_TOL.
+    Every pair at offset k is k h apart in alpha, so only the shortest chord
+    per offset matters.  Row k of one shifted view of the samples is the node
+    sequence shifted by k; CHORD_ARC_BLOCK rows at a time are differenced
+    against the nodes into two reused buffers, in O(block N) memory.  Raises
+    SelfIntersection if any pair of distinct nodes is closer than
+    COLLISION_TOL, naming the shortest offset of the first block with one.
     """
     z1, z2 = curve.z1, curve.z2
     n = z1.size
     # Nodes past the end sit at infinity: their chords never win or collide.
-    far = np.full(CHORD_ARC_BLOCK - 1, np.inf)
-    z1_far, z2_far = np.concatenate((z1, far)), np.concatenate((z2, far))
-    worst = 0.0
+    far = np.full(n, np.inf)
+    shifted1 = sliding_window_view(np.concatenate((z1, far)), n)
+    shifted2 = sliding_window_view(np.concatenate((z2, far)), n)
+    buf1, buf2 = np.empty(CHORD_ARC_BLOCK * n), np.empty(CHORD_ARC_BLOCK * n)
+    shortest = np.full(n, np.inf)  # least squared chord per offset
     for k0 in range(1, n, CHORD_ARC_BLOCK):
-        m = n - k0
+        rows, m = min(CHORD_ARC_BLOCK, n - k0), n - k0
         # row r holds the squared chords of the pairs (i, i + k0 + r), i < m
-        d2 = sliding_window_view(z1_far[k0:], m) - z1[:m]
-        dy = sliding_window_view(z2_far[k0:], m) - z2[:m]
+        d2, dy = buf1[: rows * m].reshape(rows, m), buf2[: rows * m].reshape(rows, m)
+        np.subtract(shifted1[k0:k0 + rows, :m], z1[:m], out=d2)
+        np.subtract(shifted2[k0:k0 + rows, :m], z2[:m], out=dy)
         d2 *= d2
-        d2 += dy * dy
-        shortest = d2.min(axis=1)
-        if float(shortest.min()) < COLLISION_TOL * COLLISION_TOL:
-            r = int(np.argmin(shortest))
-            i = int(np.argmin(d2[r]))
-            raise SelfIntersection(
-                f"nodes {i} and {i + k0 + r} are {np.sqrt(d2[r, i]):.3e} apart "
-                f"(< {COLLISION_TOL:.1e})"
-            )
-        offsets = np.arange(k0, k0 + shortest.size, dtype=np.float64)
-        worst = max(worst, float(np.max(offsets * offsets / shortest)))
-    return curve.grid.spacing * float(np.sqrt(worst))
+        dy *= dy
+        d2 += dy
+        np.min(d2, axis=1, out=shortest[k0:k0 + rows])
+    colliding = shortest < COLLISION_TOL * COLLISION_TOL
+    if colliding.any():
+        first = int(np.argmax(colliding))
+        k0 = first - (first - 1) % CHORD_ARC_BLOCK
+        k = k0 + int(np.argmin(shortest[k0:k0 + CHORD_ARC_BLOCK]))
+        dx, dy = z1[k:] - z1[: n - k], z2[k:] - z2[: n - k]
+        d2 = dx * dx + dy * dy
+        i = int(np.argmin(d2))
+        raise SelfIntersection(
+            f"nodes {i} and {i + k} are {np.sqrt(d2[i]):.3e} apart (< {COLLISION_TOL:.1e})"
+        )
+    offsets = np.arange(n, dtype=np.float64)
+    return curve.grid.spacing * float(np.sqrt(np.max(offsets * offsets / shortest)))
 
 
 class MinDepth(NamedTuple):
@@ -354,27 +388,8 @@ def holder_norms(curve: InterfaceCurve) -> tuple[float, float, float]:
 
 
 def far_field_mask(grid: Grid) -> FloatArray:
-    """Smooth cutoff that is 0 on the decay bands and 1 in the interior.
-
-    Evolution right-hand sides are multiplied by this mask so the truncated
-    domain keeps its exact flat far field; the suppressed motion is the
-    O(1/distance^2) far tail that the truncation drops anyway.
-    """
-    n = grid.node_count
-    band = min(DECAY_BAND, n // 2)
-    ramp = max(band, n // 16)
-    mask = np.where(grid.band_mask, 0.0, 1.0)
-    for k in range(ramp):
-        s = (k + 1.0) / (ramp + 1.0)
-        value = 0.5 - 0.5 * np.cos(np.pi * s)
-        left = band + k
-        right = n - 1 - band - k
-        if left >= right:
-            break
-        mask[left] = min(mask[left], value)
-        mask[right] = min(mask[right], value)
-    mask.flags.writeable = False
-    return mask
+    """The grid's read-only far-field mask, built once per Grid (Grid.far_field_mask)."""
+    return grid.far_field_mask
 
 
 def curve_record(curve: InterfaceCurve, t: float) -> dict:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from contourdyn.geometry import Grid, InterfaceCurve
+from contourdyn.errors import SelfIntersection
+from contourdyn.geometry import CHORD_ARC_BLOCK, COLLISION_TOL, Grid, InterfaceCurve
 from contourdyn.kernels import VorticityStrength
 from contourdyn.profiles import plateau_window
 
@@ -41,6 +43,38 @@ def random_smooth_pair(grid: Grid, rng: np.random.Generator,
         z1 = z1 + (curve_scale / 8.0) * b * np.cos(0.5 * k * grid.alpha + pb) * w
         om = om + (omega_scale / 4.0) * c * np.cos(0.9 * k * grid.alpha + pc) * w
     return InterfaceCurve(grid, z1, z2), VorticityStrength(grid, om)
+
+
+def blocked_chord_arc(curve: InterfaceCurve) -> float:
+    """Reference chord-arc pass: fresh sliding windows and temporaries per offset block.
+
+    ``chord_arc_constant`` must equal this bit for bit and raise the same
+    SelfIntersection message.
+    """
+    z1, z2 = curve.z1, curve.z2
+    n = z1.size
+    # Nodes past the end sit at infinity: their chords never win or collide.
+    far = np.full(CHORD_ARC_BLOCK - 1, np.inf)
+    z1_far, z2_far = np.concatenate((z1, far)), np.concatenate((z2, far))
+    worst = 0.0
+    for k0 in range(1, n, CHORD_ARC_BLOCK):
+        m = n - k0
+        # row r holds the squared chords of the pairs (i, i + k0 + r), i < m
+        d2 = sliding_window_view(z1_far[k0:], m) - z1[:m]
+        dy = sliding_window_view(z2_far[k0:], m) - z2[:m]
+        d2 *= d2
+        d2 += dy * dy
+        shortest = d2.min(axis=1)
+        if float(shortest.min()) < COLLISION_TOL * COLLISION_TOL:
+            r = int(np.argmin(shortest))
+            i = int(np.argmin(d2[r]))
+            raise SelfIntersection(
+                f"nodes {i} and {i + k0 + r} are {np.sqrt(d2[r, i]):.3e} apart "
+                f"(< {COLLISION_TOL:.1e})"
+            )
+        offsets = np.arange(k0, k0 + shortest.size, dtype=np.float64)
+        worst = max(worst, float(np.max(offsets * offsets / shortest)))
+    return curve.grid.spacing * float(np.sqrt(worst))
 
 
 def traced_peak(fn, *args) -> int:

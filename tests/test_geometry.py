@@ -1,13 +1,19 @@
 """Geometry operations: derivatives, curvature, chord-arc, minimum depth."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contourdyn.cli import initial_state
+from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import SelfIntersection, ValidationError
+from contourdyn.evolve import step
 from contourdyn.geometry import (
     CHORD_ARC_BLOCK,
+    DECAY_BAND,
     Grid,
     InterfaceCurve,
     Model,
@@ -16,12 +22,15 @@ from contourdyn.geometry import (
     curvature,
     curve_from_record,
     curve_record,
+    far_field_mask,
     holder_norms,
     min_depth,
 )
 from contourdyn.profiles import plateau_window
 
-from support import bump_curve, traced_peak
+from support import blocked_chord_arc, bump_curve, traced_peak
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def loop_curve(n: int, a: int, b: int, turn: float, close: bool = False) -> InterfaceCurve:
@@ -50,6 +59,14 @@ def dense_chord_arc(curve: InterfaceCurve) -> tuple[float, int]:
     ratio = da / dist
     i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     return float(ratio[i, j]), abs(int(i) - int(j))
+
+
+def chord_arc_outcome(fn, curve: InterfaceCurve):
+    """fn(curve), or the message of the SelfIntersection it raises."""
+    try:
+        return fn(curve)
+    except SelfIntersection as exc:
+        return f"SelfIntersection: {exc}"
 
 
 def trig_grid(n: int = 512) -> Grid:
@@ -268,6 +285,98 @@ class TestChordArc:
     def test_peak_memory_is_a_few_rows(self):
         curve = loop_curve(2048, 600, 1400, 2.0 * np.pi - 0.02)
         assert traced_peak(chord_arc_constant, curve) < 8e6
+
+    def test_peak_memory_is_two_buffers(self):
+        # two reused CHORD_ARC_BLOCK x N buffers (1 MB at N = 2048), no
+        # per-block temporaries
+        curve = loop_curve(2048, 600, 1400, 2.0 * np.pi - 0.02)
+        assert traced_peak(chord_arc_constant, curve) < 1.5e6
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["initial", "stepped"])
+    @pytest.mark.parametrize("n", [256, 1000, 2048])
+    @pytest.mark.parametrize("config", ["stable_relaxation", "internal_wave", "unstable_pinch"])
+    def test_bitwise_equal_to_blocked_oracle_on_shipped_configs(self, config, n, stepped):
+        parsed = with_grid(parse_config(str(CONFIGS / f"{config}.cfg")), n)
+        state = initial_state(parsed)
+        if stepped:
+            state = step(state, parsed.sim)
+        assert chord_arc_constant(state.curve) == blocked_chord_arc(state.curve)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            loop_curve(1000, 300, 700, 2.0 * np.pi - 0.02),
+            loop_curve(2048, 600, 1400, 2.0 * np.pi - 0.02),
+            loop_curve(1000, 300, 700, 2.0 * np.pi, close=True),
+        ],
+        ids=["far-offset", "n2048", "closed"],
+    )
+    def test_bitwise_equal_to_blocked_oracle_on_loops(self, curve):
+        assert chord_arc_outcome(chord_arc_constant, curve) == chord_arc_outcome(
+            blocked_chord_arc, curve
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([64, 130, 256, 1000]),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+        scale=st.floats(0.0, 2.0),
+    )
+    def test_bitwise_equal_to_blocked_oracle_on_smooth_curves(self, n, coeffs, scale):
+        # windowed low modes; large z1 amplitudes fold the curve back on itself
+        g = Grid(20.0, n)
+        w = plateau_window(g.alpha, 5.0, 5.0)
+        a, b, pa, pb = np.reshape(coeffs, (4, 4, 1))
+        k = np.arange(1, 5)[:, None]
+        z1 = g.alpha + scale * w * np.sum(b * np.cos(0.5 * k * g.alpha + np.pi * pb), axis=0)
+        z2 = 1.0 + scale * w * np.sum(a * np.cos(0.7 * k * g.alpha + np.pi * pa), axis=0)
+        curve = InterfaceCurve(g, z1, z2, validate=False)
+        assert chord_arc_outcome(chord_arc_constant, curve) == chord_arc_outcome(
+            blocked_chord_arc, curve
+        )
+
+    def test_collision_report_names_the_oracles_pair(self):
+        # colliding offsets b0 + 8 and b0 + 18 share the block starting at b0,
+        # whose shortest row holds two pairs; a closer pair (distance 0) sits
+        # at offset b0 + 68, two blocks later
+        g = Grid(20.0, 256)
+        b0 = CHORD_ARC_BLOCK + 1
+        z1, z2 = g.alpha.copy(), np.ones(g.node_count)
+        for i, k, gap in [(60, b0 + 8, 5e-11), (20, b0 + 18, 3e-12),
+                          (140, b0 + 18, 1e-12), (30, b0 + 68, 0.0)]:
+            z1[i + k], z2[i + k] = z1[i] + gap, z2[i]
+        curve = InterfaceCurve(g, z1, z2, validate=False)
+        message = chord_arc_outcome(blocked_chord_arc, curve)
+        assert message.startswith(f"SelfIntersection: nodes 140 and {140 + b0 + 18} ")
+        assert chord_arc_outcome(chord_arc_constant, curve) == message
+
+
+class TestFarFieldMask:
+    @staticmethod
+    def loop_mask(grid: Grid) -> np.ndarray:
+        """The cosine ramp, node by node, from the band edges inward."""
+        n = grid.node_count
+        band = min(DECAY_BAND, n // 2)
+        ramp = max(band, n // 16)
+        mask = np.where(grid.band_mask, 0.0, 1.0)
+        for k in range(ramp):
+            s = (k + 1.0) / (ramp + 1.0)
+            value = 0.5 - 0.5 * np.cos(np.pi * s)
+            left, right = band + k, n - 1 - band - k
+            if left >= right:
+                break
+            mask[left] = min(mask[left], value)
+            mask[right] = min(mask[right], value)
+        return mask
+
+    @pytest.mark.parametrize("n", [128, 256, 2048])
+    def test_cached_read_only_loop_formula(self, n):
+        g = Grid(20.0, n)
+        mask = far_field_mask(g)
+        assert np.array_equal(mask, self.loop_mask(g))
+        assert not mask.flags.writeable
+        assert far_field_mask(g) is mask
+
 
 class TestMinDepth:
     def test_flat(self, grid256):
