@@ -17,11 +17,13 @@ This module turns the continuation theory into checkable numbers:
 J is evaluated at an off-grid point, so its Cauchy singularity is subtracted
 analytically: the model singularity C/u integrates to an exact logarithm over
 the truncated interval (assigned to the far band) and the remainder is smooth
-enough for the trapezoid rule.  I and I-tilde are one row of the kernel pair
-of the kernels module at a grid node, with densities d(z2)/ds and d(z1)/ds:
-the punctured rule plus the shared diagonal limit.  They carry analytic
-flat-state tail corrections; the I-tilde tail is a Poisson integral that
-decays only like 1/distance and must not be dropped.
+enough for the trapezoid rule.  I and I-tilde read one node's row of the
+product form 1 / ((z_j - z_k)(z_j - zbar_k)) of the kernels module (node_row),
+whose numerators 2i z2_k and 2 (z_j - z1_k) give the difference and the sum of
+the kernel pair, with densities d(z2)/ds and d(z1)/ds: the punctured rule plus
+the shared diagonal limit.  They carry analytic flat-state tail corrections;
+the I-tilde tail is a Poisson integral that decays only like 1/distance and
+must not be dropped.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength, cauchy_pair, diagonal_limit
+from .kernels import VorticityStrength, diagonal_limit, node_row
 
 TWO_PI = 2.0 * np.pi
 
@@ -223,15 +225,6 @@ def log_bound_ratio(diag: DepthDiagnostics) -> float:
     return abs(diag.J) / (diag.m * np.log(1.0 / diag.m))
 
 
-def _node_pair(curve: InterfaceCurve, j_star: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel pair at node j_star, punctured there."""
-    curve.require_resolved()
-    if not 0 <= j_star < curve.grid.node_count:
-        raise IndexError(f"node index {j_star} out of range")
-    k, k_mirror = cauchy_pair(curve, curve.z[[j_star]], [j_star])
-    return k[:, 0], k_mirror[:, 0]
-
-
 def _flat_tail(a: float, x: float, s_left: float, s_right: float) -> float:
     """Exact integral of a / ((s - x)^2 + a^2) over (-inf, s_left] + [s_right, inf)."""
     if a == 0.0:
@@ -245,13 +238,13 @@ def _flat_tail(a: float, x: float, s_left: float, s_right: float) -> float:
 
 def identity_I(curve: InterfaceCurve, j_star: int) -> float:
     """Flux integral of d(z2)/ds against the vertical kernel at node j_star."""
-    k, k_mirror = _node_pair(curve, j_star)
+    difference = 2j * curve.z2 * node_row(curve, j_star)
     _, d1y = curve.d1
     _, d2y = curve.d2
     w = curve.grid.trapezoid_weights
     limit = diagonal_limit(curve, d1y, d2y)[j_star]
     # d(z2)/ds vanishes identically on the flat far field: no tail.
-    return float(np.real(np.dot(w * d1y, k - k_mirror) + w[j_star] * limit))
+    return float(np.real(np.dot(w * d1y, difference) + w[j_star] * limit))
 
 
 def identity_Itilde(curve: InterfaceCurve, j_star: int) -> float:
@@ -260,12 +253,13 @@ def identity_Itilde(curve: InterfaceCurve, j_star: int) -> float:
     Includes the analytic Poisson tails of the exactly-flat far field; their
     1/distance decay dominates the truncation error if dropped.
     """
-    k, k_mirror = _node_pair(curve, j_star)
+    total = 2.0 * (curve.z[j_star] - curve.z1) * node_row(curve, j_star)
+    total[j_star] = -total[j_star]  # the punctured sum is +1/(z_j - zbar_j)
     d1x, _ = curve.d1
     d2x, _ = curve.d2
     w = curve.grid.trapezoid_weights
     limit = diagonal_limit(curve, d1x, d2x)[j_star]
-    grid_part = -float(np.imag(np.dot(w * d1x, k + k_mirror) + w[j_star] * limit))
+    grid_part = -float(np.imag(np.dot(w * d1x, total) + w[j_star] * limit))
     alpha = curve.grid.alpha
     x = float(curve.z1[j_star])
     z2s = float(curve.z2[j_star])
@@ -384,8 +378,6 @@ def continuation_report(
     omega: VorticityStrength,
     params: PhysicalParams,
     t: float = 0.0,
-    norm_cap: float = BLOWUP_CAP,
-    chord_arc_cap: float = CHORD_ARC_CAP,
 ) -> ContinuationReport:
     """Collect every continuation-hypothesis quantity and flag exceeded caps."""
     _ = params  # physics currently informs no extra hypothesis quantity
@@ -397,11 +389,11 @@ def continuation_report(
     except OutOfRegime:
         ratio = None
     exceeded = []
-    if max(c0, c1, c2) > norm_cap:
+    if max(c0, c1, c2) > BLOWUP_CAP:
         exceeded.append("curve_c2")
-    if diag.omega_c1_norm > norm_cap:
+    if diag.omega_c1_norm > BLOWUP_CAP:
         exceeded.append("omega_c1")
-    if diag.chord_arc > chord_arc_cap:
+    if diag.chord_arc > CHORD_ARC_CAP:
         exceeded.append("chord_arc")
     verdict = "criteria satisfied" if not exceeded else "exceeded: " + ", ".join(exceeded)
     return ContinuationReport(

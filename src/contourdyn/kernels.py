@@ -7,13 +7,14 @@ induces at a point t the conjugate velocity
     u - i v = (1/2 pi i) int [ 1/(t - z(s)) - 1/(t - zbar(s)) ] omega(s) ds.
 
 The mirror source zbar(s) = z1(s) - i z2(s), reflected across the bottom,
-makes the vertical velocity vanish identically on y = 0.  The sheet velocity
-uses the exact product form (z - zbar) / ((t - z)(t - zbar)) of the pair: one
-complex reciprocal per pair times the real scale w z2 / pi, and no cancellation
-between the two kernels near the bottom.  The flux integrals I and I-tilde of
-the analysis module need the kernels apart (cauchy_pair, sources down the first
-axis, targets across the second).  (The depth rate J keeps its own off-grid
-form, which avoids the cancellation between the pair at small depth.)
+makes the vertical velocity vanish identically on y = 0.  Every consumer uses
+the exact product form of the pair, R = 1 / ((t - z)(t - zbar)): one complex
+reciprocal per pair, and no cancellation between the two kernels near the
+bottom.  The sheet velocity is R times the real scale w z2 / pi; the flux
+integrals I and I-tilde of the analysis module read one node's row of R
+(node_row) with the numerators of the difference and the sum of the kernels.
+(The depth rate J keeps its own off-grid form, which avoids the cancellation
+between the pair at small depth.)
 
 On the curve itself the first kernel is Cauchy-singular.  The principal value
 is computed by the punctured trapezoid rule (the singular node is omitted, so
@@ -109,25 +110,6 @@ def _require_shared_grid(curve: InterfaceCurve, omega: VorticityStrength) -> Non
         raise ValidationError("curve and omega must share the same grid")
 
 
-def cauchy_pair(
-    curve: InterfaceCurve, t: np.ndarray, nodes=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The kernels 1/(t - z(s_k)) and 1/(t - zbar(s_k)), shape (N, len(t)).
-
-    Sources run down the first axis, targets ``t`` across the second.  For
-    on-curve targets, ``nodes[i]`` is the node that t[i] sits on; the first
-    kernel is punctured there (exactly zero).
-    """
-    z = curve.z[:, None]
-    k = t - z
-    if nodes is not None:
-        k[nodes, np.arange(len(nodes))] = np.inf  # reciprocal gives 0, no warning
-    np.reciprocal(k, out=k)
-    k_mirror = t - np.conj(z)
-    np.reciprocal(k_mirror, out=k_mirror)
-    return k, k_mirror
-
-
 def diagonal_limit(curve: InterfaceCurve, f: FloatArray, df: FloatArray) -> np.ndarray:
     """R[f] = f z''/(2 z'^2) - f'/z' at every node: the punctured node's value."""
     d1x, d1y = curve.d1
@@ -221,14 +203,25 @@ def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Vel
     return Velocity2(float(w.real), float(-w.imag))
 
 
-def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> Velocity2:
-    """Mean (principal-value) velocity on the curve at node j."""
-    _require_shared_grid(curve, omega)
+def node_row(curve: InterfaceCurve, j: int) -> np.ndarray:
+    """1 / ((z_j - z_k)(z_j - zbar_k)) over the sources k, punctured at k = j.
+
+    Times 2i z2_k it is the difference 1/(z_j - z_k) - 1/(z_j - zbar_k) of the
+    kernels, times 2 (z_j - z1_k) their sum.  At k = j both products give
+    -1/(z_j - zbar_j): right for the punctured difference, while the punctured
+    sum needs the opposite sign.
+    """
     curve.require_resolved()
     if not 0 <= j < curve.grid.node_count:
         raise IndexError(f"node index {j} out of range")
-    rows = _sheet_rows(curve, curve.z[[j]], puncture=([j], [0]))
-    w = _conjugate_pv(curve, omega, _apply(rows, omega.omega * _sheet_scale(curve)), [j])[0]
+    return _sheet_rows(curve, curve.z[[j]], puncture=([j], [0]))[:, 0]
+
+
+def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> Velocity2:
+    """Mean (principal-value) velocity on the curve at node j."""
+    _require_shared_grid(curve, omega)
+    row = node_row(curve, j)[:, None]
+    w = _conjugate_pv(curve, omega, _apply(row, omega.omega * _sheet_scale(curve)), [j])[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 

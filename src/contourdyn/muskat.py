@@ -16,8 +16,9 @@ omega (kernels.tangential_velocity): an iteration is one apply of the curve's
 held operator plus O(N) work.
 
 The interior mask keeps omega exactly zero on the decay bands, consistent with
-the truncated-domain far-field closure; residuals are reported against this
-masked discrete equation.
+the truncated-domain far-field closure; the Picard iteration solves this masked
+discrete equation, one tangential_velocity apply and one masked update per
+iteration, and stops when successive iterates agree to tol in the sup norm.
 """
 
 from __future__ import annotations
@@ -80,25 +81,10 @@ def solve_vorticity_equal(curve: InterfaceCurve, params: PhysicalParams) -> Vort
     return VorticityStrength(curve.grid, rhs / params.mu_plus)
 
 
-def _picard_map(
-    curve: InterfaceCurve,
-    params: PhysicalParams,
-    rhs: FloatArray,
-    mask: FloatArray,
-    omega_arr: FloatArray,
-    operator: np.ndarray | None = None,
-) -> FloatArray:
-    if operator is None:
-        operator = node_operator(curve)
-    v_dot_t = tangential_velocity(curve, omega_arr, operator)
-    return mask * (rhs + params.viscosity_jump * v_dot_t) / params.viscosity_mean
-
-
 def solve_vorticity_general(
     curve: InterfaceCurve,
     params: PhysicalParams,
     tol: float = PICARD_TOL,
-    max_iter: int = PICARD_MAX_ITER,
     operator: np.ndarray | None = None,
 ) -> VorticityStrength:
     """Picard solve of the viscosity-contrast integral equation.
@@ -106,7 +92,7 @@ def solve_vorticity_general(
     Starts from the equal-viscosity formula with the mean viscosity and
     iterates the fixed-point map, one apply of ``operator`` (the curve's
     node_operator, built here if not given) each, until successive sup-norm
-    change <= tol.  NoConvergence when the budget runs out signals an
+    change <= tol.  NoConvergence after PICARD_MAX_ITER iterations signals an
     under-resolved or extreme-contrast configuration rather than a bug.
     The iteration count is attached to the result as ``.iterations``.
     """
@@ -116,22 +102,19 @@ def solve_vorticity_general(
     rhs = vorticity_rhs(curve, params)
     mask = far_field_mask(curve.grid)
     omega_arr = mask * rhs / params.viscosity_mean
-    if params.viscosity_jump == 0.0:
-        result = VorticityStrength(curve.grid, omega_arr)
-        result.iterations = 0
-        return result
     if operator is None:
         operator = node_operator(curve)
     diff = np.inf
-    for iteration in range(1, max_iter + 1):
-        new = _picard_map(curve, params, rhs, mask, omega_arr, operator)
+    for iteration in range(1, PICARD_MAX_ITER + 1):
+        v_dot_t = tangential_velocity(curve, omega_arr, operator)
+        new = mask * (rhs + params.viscosity_jump * v_dot_t) / params.viscosity_mean
         diff = float(np.max(np.abs(new - omega_arr)))
         omega_arr = new
         if diff <= tol:
             result = VorticityStrength(curve.grid, omega_arr)
             result.iterations = iteration
             return result
-    raise NoConvergence(max_iter, diff, what="viscosity-contrast Picard iteration")
+    raise NoConvergence(PICARD_MAX_ITER, diff, what="viscosity-contrast Picard iteration")
 
 
 def solve_vorticity(
@@ -141,14 +124,3 @@ def solve_vorticity(
     if equal_viscosity(params):
         return solve_vorticity_equal(curve, params)
     return solve_vorticity_general(curve, params, operator=operator)
-
-
-def vorticity_residual(
-    curve: InterfaceCurve, params: PhysicalParams, omega: VorticityStrength
-) -> float:
-    """Sup-norm residual of the masked discrete closure at the given omega."""
-    _require_muskat(params)
-    rhs = vorticity_rhs(curve, params)
-    mask = far_field_mask(curve.grid)
-    mapped = _picard_map(curve, params, rhs, mask, omega.omega)
-    return float(np.max(np.abs(omega.omega - mapped)))

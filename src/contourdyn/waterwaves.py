@@ -88,7 +88,6 @@ def omega_rhs(
     params: PhysicalParams,
     dt_probe: float = 1e-3,
     tol: float = IMPLICIT_TOL,
-    max_iter: int = MAX_IMPLICIT_ITER,
 ) -> FloatArray:
     """Time derivative of the sheet strength, implicit term resolved.
 
@@ -117,7 +116,7 @@ def omega_rhs(
 
     rate = explicit
     diff = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_IMPLICIT_ITER + 1):
         b_probe = tangential_velocity(probe_curve, omega.omega + dt_probe * rate, probe_operator)
         new_rate = explicit + 2.0 * a * (b_probe - b0) / dt_probe
         diff = float(np.max(np.abs(new_rate - rate)))
@@ -125,4 +124,4 @@ def omega_rhs(
         if diff <= tol:
             logger.debug("implicit omega rate converged in %d iterations", iteration)
             return rate
-    raise NoConvergence(max_iter, diff, what="implicit omega-rate iteration")
+    raise NoConvergence(MAX_IMPLICIT_ITER, diff, what="implicit omega-rate iteration")

@@ -7,9 +7,18 @@ import tracemalloc
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from contourdyn.analysis import _flat_tail
 from contourdyn.errors import SelfIntersection
-from contourdyn.geometry import CHORD_ARC_BLOCK, COLLISION_TOL, Grid, InterfaceCurve
-from contourdyn.kernels import VorticityStrength
+from contourdyn.geometry import (
+    CHORD_ARC_BLOCK,
+    COLLISION_TOL,
+    Grid,
+    InterfaceCurve,
+    PhysicalParams,
+    far_field_mask,
+)
+from contourdyn.kernels import VorticityStrength, diagonal_limit, pv_all_nodes
+from contourdyn.muskat import vorticity_rhs
 from contourdyn.profiles import plateau_window
 
 
@@ -75,6 +84,64 @@ def blocked_chord_arc(curve: InterfaceCurve) -> float:
         offsets = np.arange(k0, k0 + shortest.size, dtype=np.float64)
         worst = max(worst, float(np.max(offsets * offsets / shortest)))
     return curve.grid.spacing * float(np.sqrt(worst))
+
+
+def cauchy_pair(
+    curve: InterfaceCurve, t: np.ndarray, nodes=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels 1/(t - z(s_k)) and 1/(t - zbar(s_k)), shape (N, len(t)).
+
+    Sources run down the first axis, targets ``t`` across the second.  For
+    on-curve targets, ``nodes[i]`` is the node that t[i] sits on; the first
+    kernel is punctured there (exactly zero).
+    """
+    z = curve.z[:, None]
+    k = t - z
+    if nodes is not None:
+        k[nodes, np.arange(len(nodes))] = np.inf  # reciprocal gives 0, no warning
+    np.reciprocal(k, out=k)
+    k_mirror = t - np.conj(z)
+    np.reciprocal(k_mirror, out=k_mirror)
+    return k, k_mirror
+
+
+def pair_identity(curve: InterfaceCurve, j_star: int) -> tuple[float, float, float]:
+    """Reference (I, I-tilde, defect) from the two kernels taken apart (cauchy_pair).
+
+    ``identity_defect`` reads the product-form row instead and must agree to
+    roundoff.
+    """
+    k, k_mirror = cauchy_pair(curve, curve.z[[j_star]], [j_star])
+    k, k_mirror = k[:, 0], k_mirror[:, 0]
+    d1x, d1y = curve.d1
+    d2x, d2y = curve.d2
+    w = curve.grid.trapezoid_weights
+    limit_i = diagonal_limit(curve, d1y, d2y)[j_star]
+    value_i = float(np.real(np.dot(w * d1y, k - k_mirror) + w[j_star] * limit_i))
+    limit_it = diagonal_limit(curve, d1x, d2x)[j_star]
+    grid_part = -float(np.imag(np.dot(w * d1x, k + k_mirror) + w[j_star] * limit_it))
+    alpha = curve.grid.alpha
+    x = float(curve.z1[j_star])
+    z2s = float(curve.z2[j_star])
+    tail = _flat_tail(z2s - 1.0, x, float(alpha[0]), float(alpha[-1])) + _flat_tail(
+        z2s + 1.0, x, float(alpha[0]), float(alpha[-1])
+    )
+    value_it = grid_part + tail
+    return value_i, value_it, abs(value_it - value_i - np.pi)
+
+
+def full_velocity_map(curve: InterfaceCurve, params: PhysicalParams, om: np.ndarray,
+                      operator: np.ndarray | None = None) -> np.ndarray:
+    """The Picard map mask (rhs + [mu] (u, v) . T) / mu_bar from the full pv velocity.
+
+    A reference for the viscosity-contrast solve, which iterates the same map
+    through the tangential form; ``operator`` is passed on to pv_all_nodes.
+    """
+    rhs = vorticity_rhs(curve, params)
+    u, v = pv_all_nodes(curve, VorticityStrength(curve.grid, om, validate=False), operator)
+    d1x, d1y = curve.d1
+    mask = far_field_mask(curve.grid)
+    return mask * (rhs + params.viscosity_jump * (u * d1x + v * d1y)) / params.viscosity_mean
 
 
 def traced_peak(fn, *args) -> int:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from contourdyn.analysis import (
+    BLOWUP_CAP,
     continuation_report,
     depth_rate,
     fit_double_exponential,
@@ -15,11 +16,11 @@ from contourdyn.analysis import (
 )
 from contourdyn.errors import FitFailure, OutOfRegime
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, min_depth
-from contourdyn.kernels import VorticityStrength
+from contourdyn.kernels import VorticityStrength, diagonal_limit
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import bump_curve, gaussian_strength, scipy_double_exponential
+from support import bump_curve, gaussian_strength, pair_identity, scipy_double_exponential
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
@@ -172,6 +173,42 @@ class TestIdentity:
         _, _, defect = identity_defect(curve)
         assert defect <= 1e-4
 
+    def test_matches_two_kernel_oracle(self):
+        # the product-form row against the kernels taken apart, on the 24
+        # benchmark pinch depths and criterion 1's bump curves
+        curves = [pinch_curve(Grid(20.0, 2048), float(d)) for d in np.geomspace(0.3, 0.02, 24)]
+        for n in (512, 1024, 2048, 4096):
+            g = Grid(40.0, n)
+            w = plateau_window(g.alpha, 6.0, 6.0)
+            curves += [
+                InterfaceCurve(g, g.alpha.copy(), 1.0 + amp * np.cos(g.alpha) * w)
+                for amp in (0.1, 0.3, 0.5)
+            ]
+        for curve in curves:
+            expect = pair_identity(curve, min_depth(curve).index)
+            assert np.max(np.abs(np.subtract(identity_defect(curve), expect))) <= 2e-15
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="long double is float64 on this platform",
+    )
+    @pytest.mark.parametrize("delta", [3e-3, 1e-3])
+    def test_I_against_long_double_near_bottom(self, delta):
+        # the two kernels nearly cancel near the bottom; the product form
+        # keeps I closer to a long double evaluation of the pair
+        curve = pinch_curve(Grid(20.0, 2048), delta)
+        j = min_depth(curve).index
+        z = curve.z.astype(np.clongdouble)
+        first = z[j] - z
+        first[j] = np.inf  # punctured: the reciprocal gives 0
+        pair = 1.0 / first - 1.0 / (z[j] - np.conj(z))
+        _, d1y = curve.d1
+        _, d2y = curve.d2
+        w = curve.grid.trapezoid_weights
+        limit = diagonal_limit(curve, d1y, d2y)[j]
+        ref = np.real(np.dot((w * d1y).astype(np.longdouble), pair) + w[j] * limit)
+        assert abs(identity_I(curve, j) - ref) < abs(pair_identity(curve, j)[0] - ref)
+
     def test_defect_refines_at_second_order(self):
         defects = []
         for n in (512, 1024, 2048):
@@ -278,10 +315,14 @@ class TestContinuationReport:
         r2 = continuation_report(curve, omega, params)
         assert r1 == r2
 
-    def test_cap_flagging(self, grid256):
+    def test_cap_flagging(self):
+        # past the caps the run itself stops at: C2 norm 1077, omega C0 2000
         params = PhysicalParams(model=Model.MUSKAT)
-        curve = bump_curve(grid256, 0.4)
-        omega = gaussian_strength(grid256, amplitude=3.0)
-        report = continuation_report(curve, omega, params, norm_cap=1e-6)
-        assert "curve_c2" in report.exceeded
-        assert report.verdict.startswith("exceeded")
+        g = Grid(20.0, 4096)
+        w = plateau_window(g.alpha, 5.0, 5.0)
+        curve = InterfaceCurve(g, g.alpha.copy(), 1.0 + 0.05 * np.cos(150.0 * g.alpha) * w)
+        omega = VorticityStrength(g, 2000.0 * np.exp(-g.alpha**2) * w)
+        report = continuation_report(curve, omega, params)
+        assert report.curve_c2 > BLOWUP_CAP and report.omega_c1 > BLOWUP_CAP
+        assert report.exceeded == ("curve_c2", "omega_c1")
+        assert report.verdict == "exceeded: curve_c2, omega_c1"

@@ -171,6 +171,17 @@ class TestPvBoundaryIntegral:
             assert vel.u == pytest.approx(u[j], rel=1e-13, abs=1e-15)
             assert vel.v == pytest.approx(v[j], rel=1e-13, abs=1e-15)
 
+    def test_out_of_range_node_rejected(self, grid256):
+        curve = bump_curve(grid256, 0.3)
+        omega = gaussian_strength(grid256)
+        for j in (-1, grid256.node_count):
+            with pytest.raises(IndexError):
+                pv_boundary_integral(curve, omega, j)
+            with pytest.raises(IndexError):
+                plemelj_velocity(curve, omega, j, "plus")
+            with pytest.raises(IndexError):
+                identity_defect(curve, j)
+
     def test_grid_mismatch_rejected(self, grid256, grid512):
         curve = bump_curve(grid256, 0.2)
         omega = VorticityStrength(grid512, np.zeros(grid512.node_count))
