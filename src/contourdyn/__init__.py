@@ -41,8 +41,6 @@ from .analysis import (
     continuation_report,
     depth_rate,
     fit_double_exponential,
-    identity_I,
-    identity_Itilde,
     identity_defect,
     log_bound_ratio,
 )

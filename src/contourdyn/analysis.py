@@ -14,16 +14,18 @@ This module turns the continuation theory into checkable numbers:
 * a double-exponential lower-bound fit m(t) >= exp(-C exp(C t));
 * a continuation report collecting every hypothesis quantity.
 
-J is evaluated at an off-grid point, so its Cauchy singularity is subtracted
-analytically: the model singularity C/u integrates to an exact logarithm over
-the truncated interval (assigned to the far band) and the remainder is smooth
-enough for the trapezoid rule.  I and I-tilde read one node's row of the
-product form 1 / ((z_j - z_k)(z_j - zbar_k)) of the kernels module (node_row),
-whose numerators 2i z2_k and 2 (z_j - z1_k) give the difference and the sum of
-the kernel pair, with densities d(z2)/ds and d(z1)/ds: the punctured rule plus
-the shared diagonal limit.  They carry analytic flat-state tail corrections;
-the I-tilde tail is a Poisson integral that decays only like 1/distance and
-must not be dropped.
+Both read rows of the kernels module's product form
+R_k = 1 / ((t - z_k)(t - zbar_k)), whose numerators 2i z2_k and 2 (t - z1_k)
+give the difference and the sum of the kernel pair.  J reads one row at the
+off-grid point t = z(alpha*), the real part of the difference times omega.
+Its Cauchy singularity is subtracted analytically: the model singularity C/u
+integrates to an exact logarithm over the truncated interval (assigned to the
+far band), the remainder is smooth enough for the trapezoid rule, and a node
+on alpha* takes the remainder's limit Re R[omega], the shared diagonal limit.
+I and I-tilde read one node's row (node_row) with densities d(z2)/ds and
+d(z1)/ds: the punctured rule plus the diagonal limit at that node.  They
+carry analytic flat-state tail corrections; the I-tilde tail is a Poisson
+integral that decays only like 1/distance and must not be dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength, diagonal_limit, node_row
+from .kernels import VorticityStrength, _sheet_rows, diagonal_limit, node_row
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,44 +123,30 @@ def depth_rate(
     a_star = md.alpha_star if alpha_star is None else float(alpha_star)
     jc = int(np.clip(round((a_star + grid.half_width) / h), 1, grid.node_count - 2))
 
-    d1x, d1y = curve.d1
-    d2x, d2y = curve.d2
+    (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
     z1s, z2s, d1xs, d1ys, d2xs, d2ys, oms, doms = (
         _quad_interp(values, alpha, h, jc, a_star)
         for values in (curve.z1, curve.z2, d1x, d1y, d2x, d2y, omega.omega, omega.d1)
     )
 
+    # One row R of the shared product form at t = z(alpha*), punctured where
+    # alpha* sits on a node: Re(1/(t - z) - 1/(t - zbar)) = -2 z2 Im R.
     u = a_star - alpha
-    dz1 = z1s - curve.z1
-    dz2 = z2s - curve.z2
-    sz2 = z2s + curve.z2
-    p = (dz1 * dz1 + dz2 * dz2) * (dz1 * dz1 + sz2 * sz2)
+    au = np.abs(u)
+    on_star = au < _LIMIT_SWITCH * h
+    row = _sheet_rows(curve, np.array([z1s + 1j * z2s]), puncture=(on_star, 0))[:, 0]
+    desing = -2.0 * curve.z2 * omega.omega * row.imag
 
-    # Combined kernel: 1/|dz|^2 - 1/|dz_mirror|^2 = 4 z2* z2(s) / P, exact
-    # algebra that avoids cancellation when the depth is small.
-    small = np.abs(u) < _LIMIT_SWITCH * h
-    u_safe = np.where(small, 1.0, u)
-    p_safe = np.where(small, 1.0, p)
-    integrand = 4.0 * dz1 * z2s * curve.z2 * omega.omega / p_safe
-
-    q0 = d1xs * d1xs + d1ys * d1ys
-    sing_coeff = d1xs * oms / q0
-    desing = integrand - sing_coeff / u_safe
-
-    if np.any(small):
-        # Analytic limit of the desingularized integrand as s -> alpha*.
-        q1 = d1xs * d2xs + d1ys * d2ys
-        r0 = 4.0 * z2s * z2s
-        r1 = -4.0 * z2s * d1ys
-        n1 = 4.0 * z2s * z2s * d1xs * oms
-        n2 = 4.0 * z2s * (-0.5 * d2xs * z2s * oms - d1xs * d1ys * oms - d1xs * z2s * doms)
-        limit = (n2 - sing_coeff * (q0 * r1 - q1 * r0)) / (q0 * r0)
-        desing = np.where(small, limit, desing)
+    sing_coeff = d1xs * oms / (d1xs * d1xs + d1ys * d1ys)
+    desing[~on_star] -= sing_coeff / u[~on_star]
+    # At alpha* the mirror term omega / (t - zbar) is imaginary, so the
+    # desingularized integrand tends to Re R[omega], the Cauchy kernel's limit.
+    limit = diagonal_limit(d1xs + 1j * d1ys, d2xs + 1j * d2ys, oms, doms)
+    desing[on_star] = limit.real
 
     contrib = grid.trapezoid_weights * desing
 
     m_eff = min(m, 1.0)
-    au = np.abs(u)
     near = au < m_eff
     mid = (au >= m_eff) & (au < 1.0)
     far = au >= 1.0
@@ -236,45 +224,33 @@ def _flat_tail(a: float, x: float, s_left: float, s_right: float) -> float:
     )
 
 
-def identity_I(curve: InterfaceCurve, j_star: int) -> float:
-    """Flux integral of d(z2)/ds against the vertical kernel at node j_star."""
-    difference = 2j * curve.z2 * node_row(curve, j_star)
-    _, d1y = curve.d1
-    _, d2y = curve.d2
-    w = curve.grid.trapezoid_weights
-    limit = diagonal_limit(curve, d1y, d2y)[j_star]
-    # d(z2)/ds vanishes identically on the flat far field: no tail.
-    return float(np.real(np.dot(w * d1y, difference) + w[j_star] * limit))
-
-
-def identity_Itilde(curve: InterfaceCurve, j_star: int) -> float:
-    """Flux integral of d(z1)/ds against the depth kernels at node j_star.
-
-    Includes the analytic Poisson tails of the exactly-flat far field; their
-    1/distance decay dominates the truncation error if dropped.
-    """
-    total = 2.0 * (curve.z[j_star] - curve.z1) * node_row(curve, j_star)
-    total[j_star] = -total[j_star]  # the punctured sum is +1/(z_j - zbar_j)
-    d1x, _ = curve.d1
-    d2x, _ = curve.d2
-    w = curve.grid.trapezoid_weights
-    limit = diagonal_limit(curve, d1x, d2x)[j_star]
-    grid_part = -float(np.imag(np.dot(w * d1x, total) + w[j_star] * limit))
-    alpha = curve.grid.alpha
-    x = float(curve.z1[j_star])
-    z2s = float(curve.z2[j_star])
-    tail = _flat_tail(z2s - 1.0, x, float(alpha[0]), float(alpha[-1])) + _flat_tail(
-        z2s + 1.0, x, float(alpha[0]), float(alpha[-1])
-    )
-    return grid_part + tail
-
-
 def identity_defect(curve: InterfaceCurve, j_star: int | None = None) -> tuple[float, float, float]:
-    """(I, I-tilde, |I-tilde - I - pi|) at the argmin node by default."""
+    """(I, I-tilde, |I-tilde - I - pi|) at node j_star, the argmin node by default.
+
+    I is the flux integral of d(z2)/ds against the vertical kernel, I-tilde
+    that of d(z1)/ds against the depth kernels; both read one node row.
+    I-tilde includes the analytic Poisson tails of the exactly-flat far field,
+    whose 1/distance decay dominates the truncation error if dropped.
+    """
     if j_star is None:
         j_star = min_depth(curve).index
-    value_i = identity_I(curve, j_star)
-    value_it = identity_Itilde(curve, j_star)
+    row = node_row(curve, j_star)
+    (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
+    dz, d2z = d1x[j_star] + 1j * d1y[j_star], d2x[j_star] + 1j * d2y[j_star]
+    w = curve.grid.trapezoid_weights
+
+    # d(z2)/ds vanishes identically on the flat far field: I has no tail.
+    difference = 2j * curve.z2 * row
+    limit = diagonal_limit(dz, d2z, d1y[j_star], d2y[j_star])
+    value_i = float(np.real(np.dot(w * d1y, difference) + w[j_star] * limit))
+
+    total = 2.0 * (curve.z[j_star] - curve.z1) * row
+    total[j_star] = -total[j_star]  # the punctured sum is +1/(z_j - zbar_j)
+    limit = diagonal_limit(dz, d2z, d1x[j_star], d2x[j_star])
+    grid_part = -float(np.imag(np.dot(w * d1x, total) + w[j_star] * limit))
+    ends = float(curve.grid.alpha[0]), float(curve.grid.alpha[-1])
+    x, z2s = float(curve.z1[j_star]), float(curve.z2[j_star])
+    value_it = grid_part + (_flat_tail(z2s - 1.0, x, *ends) + _flat_tail(z2s + 1.0, x, *ends))
     return value_i, value_it, abs(value_it - value_i - np.pi)
 
 

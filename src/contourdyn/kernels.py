@@ -12,9 +12,8 @@ the exact product form of the pair, R = 1 / ((t - z)(t - zbar)): one complex
 reciprocal per pair, and no cancellation between the two kernels near the
 bottom.  The sheet velocity is R times the real scale w z2 / pi; the flux
 integrals I and I-tilde of the analysis module read one node's row of R
-(node_row) with the numerators of the difference and the sum of the kernels.
-(The depth rate J keeps its own off-grid form, which avoids the cancellation
-between the pair at small depth.)
+(node_row) with the numerators of the difference and the sum of the kernels,
+and the depth rate J one off-grid row at the depth minimum.
 
 On the curve itself the first kernel is Cauchy-singular.  The principal value
 is computed by the punctured trapezoid rule (the singular node is omitted, so
@@ -110,12 +109,12 @@ def _require_shared_grid(curve: InterfaceCurve, omega: VorticityStrength) -> Non
         raise ValidationError("curve and omega must share the same grid")
 
 
-def diagonal_limit(curve: InterfaceCurve, f: FloatArray, df: FloatArray) -> np.ndarray:
-    """R[f] = f z''/(2 z'^2) - f'/z' at every node: the punctured node's value."""
-    d1x, d1y = curve.d1
-    d2x, d2y = curve.d2
-    dz = d1x + 1j * d1y
-    return (0.5 * f * (d2x + 1j * d2y) / dz - df) / dz
+def diagonal_limit(dz, d2z, f, df):
+    """R[f] = f z''/(2 z'^2) - f'/z': the punctured node's value.
+
+    Complex z', z'' and real f, f' at one point or at every node alike.
+    """
+    return (0.5 * f * d2z / dz - df) / dz
 
 
 def _sheet_rows(curve: InterfaceCurve, t, sources=slice(None), puncture=(), out=None, mirror=None):
@@ -183,7 +182,9 @@ def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
 
 def _conjugate_pv(curve: InterfaceCurve, omega: VorticityStrength, far: np.ndarray, nodes):
     """u - iv at the on-curve targets ``nodes``, given their punctured sums ``far``."""
-    limit = diagonal_limit(curve, omega.omega, omega.d1)[nodes]
+    (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
+    dz, d2z = d1x[nodes] + 1j * d1y[nodes], d2x[nodes] + 1j * d2y[nodes]
+    limit = diagonal_limit(dz, d2z, omega.omega[nodes], omega.d1[nodes])
     return far + curve.grid.trapezoid_weights[nodes] * limit * INV_2PI_I
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import FloatArray, Grid, InterfaceCurve
+from .geometry import DECAY_BAND, DECAY_TOL, FloatArray, Grid, InterfaceCurve
 from .kernels import VorticityStrength
 
 PROFILES = ("flat", "cosine", "pinch", "monotone")
@@ -69,7 +69,7 @@ class InitialSpec:
 
 def _window_or_fail(spec: InitialSpec, grid: Grid) -> FloatArray:
     support = spec.window_flat + spec.window_ramp
-    usable = grid.half_width - (grid.spacing * (min(8, grid.node_count // 2) + 1))
+    usable = grid.half_width - (grid.spacing * (min(DECAY_BAND, grid.node_count // 2) + 1))
     if support >= usable:
         raise ValidationError(
             f"window support {support:.3g} reaches the decay band of the grid "
@@ -119,7 +119,7 @@ def build_initial(spec: InitialSpec, grid: Grid) -> tuple[InterfaceCurve, Vortic
         )
         band = grid.band_mask
         worst = float(np.max(np.abs(omega_arr[band])))
-        if worst > 1e-10:
+        if worst > DECAY_TOL:
             raise ValidationError(
                 f"omega profile does not decay inside the grid window (band value {worst:.3e})"
             )

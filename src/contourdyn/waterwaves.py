@@ -45,11 +45,10 @@ MAX_IMPLICIT_ITER = 50
 
 @dataclass(frozen=True)
 class WaveState:
-    """Curve, sheet strength and time for the wave system."""
+    """Curve and sheet strength of the wave system."""
 
     curve: InterfaceCurve
     omega: VorticityStrength
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         if self.curve.grid != self.omega.grid:
@@ -86,13 +85,13 @@ def bracket_term(state: WaveState, params: PhysicalParams) -> FloatArray:
 def omega_rhs(
     state: WaveState,
     params: PhysicalParams,
-    dt_probe: float = 1e-3,
+    dt_probe: float,
     tol: float = IMPLICIT_TOL,
 ) -> FloatArray:
     """Time derivative of the sheet strength, implicit term resolved.
 
     ``dt_probe`` is the virtual step used to difference V . T along the flow;
-    callers inside a time integrator should pass their own step size.
+    a time integrator passes its own step size.
     """
     _require_waves(params)
     if dt_probe <= 0.0:

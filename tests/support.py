@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from contourdyn.analysis import _flat_tail
+from contourdyn.analysis import _LIMIT_SWITCH, _flat_tail, _quad_interp
 from contourdyn.errors import SelfIntersection
 from contourdyn.geometry import (
     CHORD_ARC_BLOCK,
@@ -16,6 +16,7 @@ from contourdyn.geometry import (
     InterfaceCurve,
     PhysicalParams,
     far_field_mask,
+    min_depth,
 )
 from contourdyn.kernels import VorticityStrength, diagonal_limit, pv_all_nodes
 from contourdyn.muskat import vorticity_rhs
@@ -86,6 +87,12 @@ def blocked_chord_arc(curve: InterfaceCurve) -> float:
     return curve.grid.spacing * float(np.sqrt(worst))
 
 
+def node_limit(curve: InterfaceCurve, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """The diagonal limit R[f] at every node of ``curve``."""
+    (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
+    return diagonal_limit(d1x + 1j * d1y, d2x + 1j * d2y, f, df)
+
+
 def cauchy_pair(
     curve: InterfaceCurve, t: np.ndarray, nodes=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +123,9 @@ def pair_identity(curve: InterfaceCurve, j_star: int) -> tuple[float, float, flo
     d1x, d1y = curve.d1
     d2x, d2y = curve.d2
     w = curve.grid.trapezoid_weights
-    limit_i = diagonal_limit(curve, d1y, d2y)[j_star]
+    limit_i = node_limit(curve, d1y, d2y)[j_star]
     value_i = float(np.real(np.dot(w * d1y, k - k_mirror) + w[j_star] * limit_i))
-    limit_it = diagonal_limit(curve, d1x, d2x)[j_star]
+    limit_it = node_limit(curve, d1x, d2x)[j_star]
     grid_part = -float(np.imag(np.dot(w * d1x, k + k_mirror) + w[j_star] * limit_it))
     alpha = curve.grid.alpha
     x = float(curve.z1[j_star])
@@ -128,6 +135,81 @@ def pair_identity(curve: InterfaceCurve, j_star: int) -> tuple[float, float, flo
     )
     value_it = grid_part + tail
     return value_i, value_it, abs(value_it - value_i - np.pi)
+
+
+def p_form_depth_rate(curve: InterfaceCurve, omega: VorticityStrength,
+                      alpha_star: float | None = None) -> tuple[np.ndarray, float]:
+    """Reference ((J, J_m, J_1, J_inf), scale) from the real form 4 dz1 z2* z2 omega / P.
+
+    P = |t - z|^2 |t - zbar|^2, with the limit at s = alpha* derived by hand;
+    ``depth_rate`` reads the shared product-form row and diagonal limit
+    instead and must agree to roundoff.  ``scale``, the size of that
+    roundoff, is the weighted sum of each term's absolute parts plus the
+    absolute logarithm.  The parts, not the terms: near the bottom the
+    product form's Im R cancels in the far band by a factor z2 / z2*.
+    """
+    grid = curve.grid
+    alpha = grid.alpha
+    h = grid.spacing
+    md = min_depth(curve)
+    m = md.m
+    a_star = md.alpha_star if alpha_star is None else float(alpha_star)
+    jc = int(np.clip(round((a_star + grid.half_width) / h), 1, grid.node_count - 2))
+
+    d1x, d1y = curve.d1
+    d2x, d2y = curve.d2
+    z1s, z2s, d1xs, d1ys, d2xs, d2ys, oms, doms = (
+        _quad_interp(values, alpha, h, jc, a_star)
+        for values in (curve.z1, curve.z2, d1x, d1y, d2x, d2y, omega.omega, omega.d1)
+    )
+
+    u = a_star - alpha
+    dz1 = z1s - curve.z1
+    dz2 = z2s - curve.z2
+    sz2 = z2s + curve.z2
+    p = (dz1 * dz1 + dz2 * dz2) * (dz1 * dz1 + sz2 * sz2)
+
+    # Combined kernel: 1/|dz|^2 - 1/|dz_mirror|^2 = 4 z2* z2(s) / P, exact
+    # algebra that avoids cancellation when the depth is small.
+    small = np.abs(u) < _LIMIT_SWITCH * h
+    u_safe = np.where(small, 1.0, u)
+    p_safe = np.where(small, 1.0, p)
+    integrand = 4.0 * dz1 * z2s * curve.z2 * omega.omega / p_safe
+
+    q0 = d1xs * d1xs + d1ys * d1ys
+    sing_coeff = d1xs * oms / q0
+    desing = integrand - sing_coeff / u_safe
+
+    if np.any(small):
+        # Analytic limit of the desingularized integrand as s -> alpha*.
+        q1 = d1xs * d2xs + d1ys * d2ys
+        r0 = 4.0 * z2s * z2s
+        r1 = -4.0 * z2s * d1ys
+        n2 = 4.0 * z2s * (-0.5 * d2xs * z2s * oms - d1xs * d1ys * oms - d1xs * z2s * doms)
+        limit = (n2 - sing_coeff * (q0 * r1 - q1 * r0)) / (q0 * r0)
+        desing = np.where(small, limit, desing)
+
+    contrib = grid.trapezoid_weights * desing
+    # Each term's absolute parts: Im 1/((t - z)(t - zbar)) is
+    # -dz1 (sz2 + dz2) / P, and C/u is subtracted from it.
+    parts = 2.0 * np.abs(curve.z2 * omega.omega * dz1) * (np.abs(sz2) + np.abs(dz2)) / p_safe
+    parts = np.where(small, np.abs(desing), parts + np.abs(sing_coeff / u_safe))
+
+    m_eff = min(m, 1.0)
+    au = np.abs(u)
+    j_near = float(np.sum(contrib[au < m_eff]))
+    j_mid = float(np.sum(contrib[(au >= m_eff) & (au < 1.0)]))
+    j_far = float(np.sum(contrib[au >= 1.0]))
+
+    d_minus = a_star + grid.half_width
+    d_plus = grid.half_width - h - a_star
+    floor = 0.5 * h
+    log_part = 0.0
+    if abs(sing_coeff) > 0.0:
+        log_part = sing_coeff * float(np.log(max(d_minus, floor) / max(d_plus, floor)))
+    j_far += log_part
+    scale = float(np.sum(grid.trapezoid_weights * parts)) + abs(log_part)
+    return np.array([j_near + j_mid + j_far, j_near, j_mid, j_far]), scale
 
 
 def full_velocity_map(curve: InterfaceCurve, params: PhysicalParams, om: np.ndarray,

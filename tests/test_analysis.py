@@ -4,23 +4,30 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from contourdyn import analysis
 from contourdyn.analysis import (
     BLOWUP_CAP,
     continuation_report,
     depth_rate,
     fit_double_exponential,
-    identity_I,
-    identity_Itilde,
     identity_defect,
     log_bound_ratio,
 )
 from contourdyn.errors import FitFailure, OutOfRegime
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, min_depth
-from contourdyn.kernels import VorticityStrength, diagonal_limit
+from contourdyn.kernels import VorticityStrength
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import bump_curve, gaussian_strength, pair_identity, scipy_double_exponential
+from support import (
+    bump_curve,
+    gaussian_strength,
+    node_limit,
+    p_form_depth_rate,
+    pair_identity,
+    random_smooth_pair,
+    scipy_double_exponential,
+)
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
@@ -51,6 +58,35 @@ class TestDepthRate:
                                       center=float(rng.uniform(-2, 2)))
             _, diag = depth_rate(curve, omega)
             assert abs(diag.J - (diag.J_m + diag.J_1 + diag.J_inf)) <= 1e-12 * (1.0 + abs(diag.J))
+
+    def test_matches_p_form_oracle(self):
+        # the shared product-form row and diagonal limit against the real
+        # P form with its hand-derived limit: 26 pinch depths with alpha* at
+        # the argmin (a node), at the node, a sliver past it and between
+        # nodes, and random bumps at N = 256-4096 with alpha* at the argmin
+        # or at its node, where the limit of an asymmetric strength is complex
+        params = PhysicalParams(model=Model.MUSKAT, rho_plus=2.0 * np.pi, rho_minus=0.0)
+        cases = []
+        for delta in np.geomspace(0.3, 1e-3, 26):
+            curve = pinch_curve(Grid(20.0, 2048), float(delta))
+            omega = solve_vorticity_equal(curve, params)
+            md = min_depth(curve)
+            h = curve.grid.spacing
+            node = float(curve.grid.alpha[md.index])
+            stars = (md.alpha_star, node, node + 4e-4 * h, md.alpha_star + 0.37 * h)
+            cases += [(curve, omega, a_star) for a_star in stars]
+        rng = np.random.default_rng(13)
+        for n in (256, 512, 1024, 2048, 4096):
+            for k in range(8):
+                curve, omega = random_smooth_pair(Grid(20.0, n), rng)
+                node = float(curve.grid.alpha[min_depth(curve).index])
+                cases.append((curve, omega, node if k % 2 else None))
+        assert len(cases) == 144
+        for curve, omega, a_star in cases:
+            _, diag = depth_rate(curve, omega, alpha_star=a_star)
+            expect, scale = p_form_depth_rate(curve, omega, a_star)
+            got = np.array([diag.J, diag.J_m, diag.J_1, diag.J_inf])
+            assert np.max(np.abs(got - expect)) <= 2e-15 * scale
 
     def test_dmdt_is_j_over_two_pi(self, grid256):
         curve = bump_curve(grid256, -0.3)
@@ -152,8 +188,8 @@ class TestIdentity:
             g = Grid(40.0, 2048)
             curve = flat_curve(g)
             j = g.node_count // 2
-            assert identity_I(curve, j) == pytest.approx(0.0, abs=1e-12)
-            assert identity_Itilde(curve, j) == pytest.approx(np.pi, abs=1e-7)
+            assert identity_defect(curve, j)[0] == pytest.approx(0.0, abs=1e-12)
+            assert identity_defect(curve, j)[1] == pytest.approx(np.pi, abs=1e-7)
 
     def test_flat_tail_vs_quadrature(self):
         # grid part + analytic tails equals adaptive quadrature of the full
@@ -163,7 +199,7 @@ class TestIdentity:
         j = g.node_count // 2 + 101
         x = float(curve.z1[j])
         expect, _ = quad(lambda s: 2.0 / ((x - s) ** 2 + 4.0), -np.inf, np.inf)
-        assert identity_Itilde(curve, j) == pytest.approx(expect, abs=1e-7)
+        assert identity_defect(curve, j)[1] == pytest.approx(expect, abs=1e-7)
 
     @pytest.mark.parametrize("amplitude", [0.1, 0.3, 0.5])
     def test_bump_defect_small(self, amplitude):
@@ -205,9 +241,9 @@ class TestIdentity:
         _, d1y = curve.d1
         _, d2y = curve.d2
         w = curve.grid.trapezoid_weights
-        limit = diagonal_limit(curve, d1y, d2y)[j]
+        limit = node_limit(curve, d1y, d2y)[j]
         ref = np.real(np.dot((w * d1y).astype(np.longdouble), pair) + w[j] * limit)
-        assert abs(identity_I(curve, j) - ref) < abs(pair_identity(curve, j)[0] - ref)
+        assert abs(identity_defect(curve, j)[0] - ref) < abs(pair_identity(curve, j)[0] - ref)
 
     def test_defect_refines_at_second_order(self):
         defects = []
@@ -219,6 +255,37 @@ class TestIdentity:
         order = np.log2(defects[0] / defects[1])
         assert order >= 2.0
         assert defects[2] < defects[0]
+
+
+class TestSharedKernel:
+    def test_one_kernel_row_per_call(self, monkeypatch):
+        # J and the flux identities each build one row of the kernels
+        # module's product form and take the diagonal limit at one point
+        calls = []
+
+        def spy(name):
+            fn = getattr(analysis, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, wrapped)
+
+        for name in ("_sheet_rows", "node_row", "diagonal_limit"):
+            spy(name)
+        curve = pinch_curve(Grid(20.0, 512), 0.1)
+        omega = gaussian_strength(curve.grid, amplitude=0.5, center=0.3)
+        for call, row_name in ((lambda: depth_rate(curve, omega), "_sheet_rows"),
+                               (lambda: identity_defect(curve), "node_row")):
+            calls.clear()
+            call()
+            rows = [(name, args) for name, args in calls if name != "diagonal_limit"]
+            assert [name for name, _ in rows] == [row_name]
+            if row_name == "_sheet_rows":
+                assert np.size(rows[0][1][1]) == 1  # one target: the point z(alpha*)
+            limits = [args for name, args in calls if name == "diagonal_limit"]
+            assert limits and all(np.ndim(arg) == 0 for args in limits for arg in args)
 
 
 FIT_T = np.linspace(0.0, 2.0, 50)

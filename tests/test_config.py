@@ -163,11 +163,22 @@ class TestProfileEdges:
 
     def test_window_reaching_band_rejected(self):
         from contourdyn.profiles import InitialSpec, build_initial
-        from contourdyn.geometry import Grid
+        from contourdyn.geometry import DECAY_BAND, Grid
 
         spec = InitialSpec(profile="cosine", amplitude=0.1, window_flat=15.0, window_ramp=6.0)
         with pytest.raises(ValidationError):
             build_initial(spec, Grid(20.0, 256))
+        # the usable half-width stops one cell short of the decay band
+        grid = Grid(20.0, 256)
+        usable = grid.half_width - grid.spacing * (DECAY_BAND + 1)
+        at_edge = InitialSpec(profile="cosine", amplitude=0.1, window_flat=usable - 6.0,
+                              window_ramp=6.0)
+        assert at_edge.window_flat + at_edge.window_ramp == usable
+        with pytest.raises(ValidationError, match="reaches the decay band"):
+            build_initial(at_edge, grid)
+        inside = InitialSpec(profile="cosine", amplitude=0.1,
+                             window_flat=usable - grid.spacing - 6.0, window_ramp=6.0)
+        build_initial(inside, grid)
 
     def test_gaussian_strength_must_decay(self):
         from contourdyn.profiles import InitialSpec, build_initial

@@ -27,7 +27,7 @@ from contourdyn.kernels import (
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import bump_curve, gaussian_strength, random_smooth_pair, traced_peak
+from support import bump_curve, gaussian_strength, node_limit, random_smooth_pair, traced_peak
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
@@ -342,7 +342,7 @@ class TestOneOperator:
         u, v = pv_all_nodes(curve, omega, op)
         d1x, d1y = curve.d1
         v_dot_t = kernels.tangential_velocity(curve, omega.omega, op)
-        limit = kernels.diagonal_limit(curve, omega.omega, omega.d1)
+        limit = node_limit(curve, omega.omega, omega.d1)
         w = curve.grid.trapezoid_weights
         terms = np.abs(omega.omega) @ np.abs(op) + w * np.abs(limit) / (2 * np.pi)
         tol = np.sqrt(n) * np.finfo(np.float64).eps * terms * np.sqrt(curve.speed_squared)
@@ -395,7 +395,7 @@ class TestOneOperator:
         # the sum of its absolute terms; both add the same diagonal limit
         omega = solve_vorticity_equal(curve, PhysicalParams(model=Model.MUSKAT))
         u, v = pv_all_nodes(curve, omega)
-        limit = kernels.diagonal_limit(curve, omega.omega, omega.d1)
+        limit = node_limit(curve, omega.omega, omega.d1)
         ref_sum = omega.omega.astype(np.longdouble) @ ref + w * limit * kernels.INV_2PI_I
         err = np.abs((u - 1j * v) - ref_sum) / (np.abs(omega.omega) @ np.abs(ref))
         assert float(np.max(err)) <= 1e-14
