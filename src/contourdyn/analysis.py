@@ -44,7 +44,7 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength, _sheet_rows, diagonal_limit, node_row
+from .kernels import VorticityStrength, _sheet_rows, _source_columns, diagonal_limit, node_row
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,7 +134,7 @@ def depth_rate(
     u = a_star - alpha
     au = np.abs(u)
     on_star = au < _LIMIT_SWITCH * h
-    row = _sheet_rows(curve, np.array([z1s + 1j * z2s]), puncture=(on_star, 0))[:, 0]
+    row = _sheet_rows(_source_columns(curve), [z1s + 1j * z2s], puncture=(on_star, 0))[:, 0]
     desing = -2.0 * curve.z2 * omega.omega * row.imag
 
     sing_coeff = d1xs * oms / (d1xs * d1xs + d1ys * d1ys)

@@ -28,24 +28,31 @@ second order on C^2 data; beyond the grid the integrand is dropped, which the
 far-field decay of omega justifies.
 
 pv_all_nodes is one fused pass: it walks the source nodes OPERATOR_BLOCK rows
-at a time through two reused (block, N) buffers, for t - z and t - zbar, and
-reduces each block at once against the density omega w z2 / pi, which carries
-the real scale.  It never stores the operator, so its memory is O(block N).  A
-solve that applies one curve's operator more than once (a Picard iteration,
-the implicit rate's probe loop) builds it with node_operator, the same rows
-times the scale, holds it in a local and passes it to pv_all_nodes; peak
-memory is then that one operator of 16 N^2 bytes.  Such a solve needs only
-the tangential component V . dz/dalpha, and there the limit's f' term drops
-(it is imaginary once multiplied by z'): tangential_velocity is one apply plus
-O(N) work, with no derivative of omega.  pair_passes counts both kinds of
-O(N^2) pass.  Single-node and off-curve evaluations form one O(N) row of the
-same product form.
+at a time through two reused buffers, for t - z and t - zbar, and reduces
+each block at once against the density omega w z2 / pi; its memory is
+O(block N).  A solve that applies one curve's operator more than once (a
+Picard iteration, the implicit rate's probe loop) builds it with
+node_operator, the same rows times the scale, holds that one N x N array and
+passes it to pv_all_nodes.  Such a solve needs only V . dz/dalpha, where the
+limit's f' term drops (it is imaginary once multiplied by z'):
+tangential_velocity is one apply plus O(N) work, with no derivative of omega.
+pair_passes counts both kinds of pass, process-wide.
+
+From SPLIT_NODES nodes on, the calling thread runs the lower half of the
+target columns, cut at a multiple of OPERATOR_BLOCK, and one persistent helper
+thread the upper, each through its own half-width buffers.  Each half adds the
+source blocks into its own columns in the one-thread order, and a column's sum
+over a block does not depend on the width, so the result is bit-identical.  On
+2 cores a fused pass then takes 0.57 of its one-thread time at N = 2048 and
+0.7 at 1536; the two are level at SPLIT_NODES, and at 512 the split is 1.1x.
 """
 
 from __future__ import annotations
 
+import os
+from contextvars import copy_context
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +68,11 @@ INV_2PI_I = 1.0 / (2j * np.pi)
 NEAR_FIELD_CELLS = 3.0
 
 # Source rows per block of a pass over the node pairs, so the buffers stay in
-# cache: 16 is at or near the fastest of 8-64 at N = 2048 and 4096.
+# cache: 16 is at or near the fastest of 8-64 at N = 2048 and 4096, split or not.
 OPERATOR_BLOCK = 16
+
+# Node count from which a pair pass runs half of its targets on a helper thread.
+SPLIT_NODES = 1024
 
 
 class Velocity2(NamedTuple):
@@ -117,20 +127,24 @@ def diagonal_limit(dz, d2z, f, df):
     return (0.5 * f * d2z / dz - df) / dz
 
 
-def _sheet_rows(curve: InterfaceCurve, t, sources=slice(None), puncture=(), out=None, mirror=None):
+def _source_columns(curve: InterfaceCurve) -> np.ndarray:
+    """(N, 3): each source's z_k, zbar_k and zbar_k - z_k = -2i z2_k."""
+    return np.stack([curve.z, np.conj(curve.z), -2j * curve.z2], axis=1)
+
+
+def _sheet_rows(sources: np.ndarray, t, puncture=(), out=None, mirror=None):
     """1 / ((t - z_k)(t - zbar_k)), the pair 1/(t - z_k) - 1/(t - zbar_k) over z_k - zbar_k.
 
-    Sources run down, targets ``t`` across; ``out`` and ``mirror`` are buffers
-    of that shape for t - z and t - zbar.  At the (row, column) positions
-    ``puncture`` the target sits on the source node; there t - z_k becomes
-    zbar_k - z_k, which leaves the mirror-only value 1 / (4 z2_k^2).  Against
-    the density omega_k w_k z2_k / pi the rows give the sheet velocity u - iv.
+    Sources (rows of _source_columns) run down, targets ``t`` across; ``out``
+    and ``mirror`` are buffers of that shape for t - z and t - zbar.  At the
+    (row, column) positions ``puncture`` the target sits on the source node;
+    there t - z_k becomes zbar_k - z_k, which leaves the mirror-only value
+    1 / (4 z2_k^2).  Against omega_k w_k z2_k / pi they give u - iv.
     """
-    z = curve.z[sources, None]
-    rows = np.subtract(t, z, out=out)
+    rows = np.subtract(t, sources[:, :1], out=out)
     if puncture:
-        rows[puncture] = -2j * curve.z2[sources][puncture[0]]
-    rows *= np.subtract(t, np.conj(z), out=mirror)
+        rows[puncture] = sources[puncture[0], 2]
+    rows *= np.subtract(t, sources[:, 1:2], out=mirror)
     return np.reciprocal(rows, out=rows)
 
 
@@ -144,20 +158,39 @@ def _sheet_scale(curve: InterfaceCurve) -> FloatArray:
 pair_passes = {"assembly": 0, "fused": 0}
 
 
-def _node_blocks(curve: InterfaceCurve, kind: str, out=None):
-    """(block, rows) of the punctured node rows, OPERATOR_BLOCK sources at a time.
+@cache
+def _helper():
+    """The helper thread of the split passes, imported and started by the first of them."""
+    from concurrent.futures import ThreadPoolExecutor
+    os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child starts its own
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="contourdyn-pairs")
 
-    The rows go into ``out[block]`` when given, else into one reused buffer.
-    """
+
+def _pair_pass(curve: InterfaceCurve, kind: str, use, out=None) -> None:
+    """use(block, cols, rows) per source block and target half; rows fill ``out`` if given."""
     pair_passes[kind] += 1
     n = curve.grid.node_count
-    buffers = np.empty((2, OPERATOR_BLOCK, n), dtype=np.complex128)
-    for start in range(0, n, OPERATOR_BLOCK):
-        block = slice(start, min(start + OPERATOR_BLOCK, n))
-        m = block.stop - start
-        diag = np.arange(m)
-        rows = buffers[0, :m] if out is None else out[block]
-        yield block, _sheet_rows(curve, curve.z, block, (diag, diag + start), rows, buffers[1, :m])
+    sources, index = _source_columns(curve), np.arange(n)
+    cut = n // (2 * OPERATOR_BLOCK) * OPERATOR_BLOCK if n >= SPLIT_NODES else n
+    halves = [(c, np.empty((2, OPERATOR_BLOCK, c.stop - c.start), dtype=np.complex128))
+              for c in (slice(0, cut), slice(cut, n)) if c.stop > c.start]
+
+    def half(cols: slice, buffer: np.ndarray) -> None:
+        t, width = curve.z[cols], cols.stop - cols.start
+        for start in range(0, n, OPERATOR_BLOCK):
+            block = slice(start, min(start + OPERATOR_BLOCK, n))
+            m, offset = block.stop - start, start - cols.start
+            puncture = (index[:m], index[offset : offset + m]) if 0 <= offset < width else ()
+            rows = buffer[0, :m] if out is None else out[block, cols]
+            use(block, cols, _sheet_rows(sources[block], t, puncture, rows, buffer[1, :m]))
+
+    # the helper's half runs in a copy of the caller's context, which holds numpy's errstate
+    helped = [_helper().submit(copy_context().run, half, *h) for h in halves[1:]]
+    try:
+        half(*halves[0])
+    finally:
+        for future in helped:  # re-raises what the helper's half raised
+            future.result()
 
 
 def node_operator(curve: InterfaceCurve) -> np.ndarray:
@@ -169,8 +202,11 @@ def node_operator(curve: InterfaceCurve) -> np.ndarray:
     curve.require_resolved()
     op = np.empty((curve.grid.node_count,) * 2, dtype=np.complex128)
     scale = _sheet_scale(curve)
-    for block, rows in _node_blocks(curve, "assembly", op):
+
+    def scale_rows(block, cols, rows):
         rows.view(np.float64)[...] *= scale[block, None]
+
+    _pair_pass(curve, "assembly", scale_rows, op)
     op.flags.writeable = False
     return op
 
@@ -200,7 +236,7 @@ def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Vel
     tol = NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
     if dist < tol:
         raise TooCloseToCurve(dist, tol)
-    w = _apply(_sheet_rows(curve, np.array([t])), omega.omega * _sheet_scale(curve))[0]
+    w = _apply(_sheet_rows(_source_columns(curve), [t]), omega.omega * _sheet_scale(curve))[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 
@@ -215,7 +251,7 @@ def node_row(curve: InterfaceCurve, j: int) -> np.ndarray:
     curve.require_resolved()
     if not 0 <= j < curve.grid.node_count:
         raise IndexError(f"node index {j} out of range")
-    return _sheet_rows(curve, curve.z[[j]], puncture=([j], [0]))[:, 0]
+    return _sheet_rows(_source_columns(curve), curve.z[[j]], puncture=([j], [0]))[:, 0]
 
 
 def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> Velocity2:
@@ -239,8 +275,11 @@ def pv_all_nodes(
     if operator is None:  # reduce each block against the density; store no operator
         density = omega.omega * _sheet_scale(curve)
         far = np.zeros(curve.grid.node_count, dtype=np.complex128)
-        for block, rows in _node_blocks(curve, "fused"):
-            far += _apply(rows, density[block])
+
+        def reduce(block, cols, rows):
+            far[cols] += _apply(rows, density[block])
+
+        _pair_pass(curve, "fused", reduce)
     else:
         far = _apply(operator, omega.omega)
     w = _conjugate_pv(curve, omega, far, slice(None))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contourdyn import kernels
 from contourdyn.cli import _build_parser, main
 from contourdyn.io import read_diagnostics, read_snapshots
 
@@ -246,6 +247,26 @@ class TestLibraryParity:
         for name in ("t", "m", "dmdt", "J", "chord_arc", "tail_bound"):
             mem = np.array([getattr(d, name) for d in sink.diagnostics])
             assert np.array_equal(mem, csv[name])
+
+
+class TestSplitPass:
+    def test_split_run_files_identical_to_one_thread(self, tmp_path, monkeypatch):
+        # every pair pass at N = 1024 split over two threads, then on one
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "stable_relaxation.cfg"
+        text = shipped.read_text()
+        for old, new in (("N = 256", "N = 1024"), ("t_end = 1.0", "t_end = 0.015"),
+                         ("snapshot_every = 20", "snapshot_every = 1")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "relax1024.cfg"
+        cfg.write_text(text)
+        outs = []
+        for split_nodes in (0, 10**9):
+            monkeypatch.setattr(kernels, "SPLIT_NODES", split_nodes)
+            outs.append(tmp_path / f"split{split_nodes}")
+            assert main(["run", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        for fname in ("diagnostics.csv", "snapshots.jsonl", "summary.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
 class TestAnalyze:

@@ -1,6 +1,10 @@
 """Singular-integral core: mirror kernel, principal values, one-sided limits."""
 
 import dataclasses
+import os
+import signal
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -270,6 +274,7 @@ def test_pv_translation_equivariance(shift):
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONTRAST = {"mu_plus": 2.0, "mu_minus": 0.5}
 
 
 def assert_fused_matches_held(curve, omega):
@@ -286,20 +291,22 @@ def assert_fused_matches_held(curve, omega):
 
 class TestOneOperator:
     @pytest.mark.parametrize(
-        "config, physics, fused, assembled",
+        "config, physics, n, fused, assembled",
         [
-            ("stable_relaxation.cfg", {}, 4, 0),
-            ("stable_relaxation.cfg", {"mu_plus": 2.0, "mu_minus": 0.5}, 0, 5),
-            ("internal_wave.cfg", {}, 4, 4),
+            pytest.param("stable_relaxation.cfg", {}, 128, 4, 0, id="equal"),
+            pytest.param("stable_relaxation.cfg", CONTRAST, 128, 0, 5, id="contrast"),
+            pytest.param("internal_wave.cfg", {}, 128, 4, 4, id="waves"),
+            # from SPLIT_NODES on each pass runs as two halves, still one pass
+            pytest.param("stable_relaxation.cfg", {}, 1024, 4, 0, id="equal-split"),
+            pytest.param("stable_relaxation.cfg", CONTRAST, 1024, 0, 5, id="contrast-split"),
         ],
-        ids=["equal", "contrast", "waves"],
     )
-    def test_assemblies_per_step(self, config, physics, fused, assembled):
+    def test_assemblies_per_step(self, config, physics, n, fused, assembled):
         # one pair pass per distinct curve: a fused pass for each RK stage's
         # one-shot velocity; an operator for each repeatedly applied curve,
         # the stage and accepted curves' Picard solves (contrast) or the
         # probe curve of each implicit rate (waves)
-        parsed = with_grid(parse_config(str(CONFIGS / config)), 128)
+        parsed = with_grid(parse_config(str(CONFIGS / config)), n)
         if physics:
             params = dataclasses.replace(parsed.sim.params, **physics)
             parsed = dataclasses.replace(
@@ -423,3 +430,83 @@ class TestOneOperator:
         state = initial_state(parsed)
         peak = traced_peak(step, state, parsed.sim)
         assert peak < 16 * n * n / 16
+
+
+def off_main_thread(fn):
+    """kernels._sheet_rows that first calls fn() when run off the main thread."""
+    sheet_rows = kernels._sheet_rows
+
+    def wrapped(*args):
+        if threading.current_thread() is not threading.main_thread():
+            fn()
+        return sheet_rows(*args)
+
+    return wrapped
+
+
+class TestSplitPass:
+    # from SPLIT_NODES on, a pair pass runs the upper half of its target
+    # columns on a helper thread; 2056 / 2 is not a multiple of OPERATOR_BLOCK
+    @pytest.mark.parametrize("n", [1024, 2048, 2056])
+    @pytest.mark.parametrize("config", ["stable_relaxation", "internal_wave", "unstable_pinch"])
+    def test_bit_identical_to_one_thread(self, config, n, monkeypatch):
+        state = initial_state(with_grid(parse_config(str(CONFIGS / f"{config}.cfg")), n))
+        curve, omega = state.curve, state.omega
+        if not np.any(omega.omega):  # the wave config starts from rest
+            omega = gaussian_strength(curve.grid, amplitude=0.3)
+        passes = {}
+        for split_nodes in (0, 10**9):  # split at any N, then never
+            monkeypatch.setattr(kernels, "SPLIT_NODES", split_nodes)
+            op = kernels.node_operator(curve)
+            passes[split_nodes] = (op, pv_all_nodes(curve, omega), pv_all_nodes(curve, omega, op))
+        (split_op, *split), (op, *one) = passes.values()
+        assert np.array_equal(split_op, op)
+        assert all(np.array_equal(a, b) for a, b in zip(split, one))
+
+    @pytest.mark.parametrize("kind", ["fused", "assembly"])
+    def test_helper_error_reaches_the_caller(self, kind, monkeypatch):
+        # a RuntimeWarning promoted to an error in the helper's half only
+        def warn():
+            warnings.warn("raised in the helper's half", RuntimeWarning)
+
+        monkeypatch.setattr(kernels, "_sheet_rows", off_main_thread(warn))
+        curve = bump_curve(Grid(20.0, 1024), 0.3)
+        omega = gaussian_strength(curve.grid, amplitude=0.8)
+        with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="helper's half"):
+            warnings.simplefilter("error")
+            if kind == "fused":
+                pv_all_nodes(curve, omega)
+            else:
+                kernels.node_operator(curve)
+
+    def test_helper_runs_in_the_callers_errstate(self, monkeypatch):
+        divide_by_zero = off_main_thread(lambda: np.reciprocal(np.zeros(1)))
+        monkeypatch.setattr(kernels, "_sheet_rows", divide_by_zero)
+        curve = bump_curve(Grid(20.0, 1024), 0.3)
+        omega = gaussian_strength(curve.grid, amplitude=0.8)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            pv_all_nodes(curve, omega)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        # the parent's helper thread is not copied into a forked child
+        monkeypatch.setattr(kernels, "SPLIT_NODES", 0)
+        curve = bump_curve(Grid(20.0, 256), 0.3)
+        omega = gaussian_strength(curve.grid, amplitude=0.8)
+        expected = pv_all_nodes(curve, omega)  # the helper runs in this process
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with a live thread
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(pv_all_nodes(curve, omega), expected) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
