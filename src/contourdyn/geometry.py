@@ -266,6 +266,12 @@ class InterfaceCurve:
         return z
 
     @cached_property
+    def dz(self) -> np.ndarray:
+        """Complex tangent z' = dz/dalpha."""
+        d1x, d1y = self.d1
+        return d1x + 1j * d1y
+
+    @cached_property
     def chord_arc(self) -> float:
         """chord_arc_constant of this curve, computed once."""
         return chord_arc_constant(self)
@@ -281,6 +287,11 @@ class InterfaceCurve:
         (d1x, d1y), (d2x, d2y) = self.d1, self.d2
         turning = (d1x * d2y - d1y * d2x) / self.speed_squared  # Im(z''/z')
         return self.grid.trapezoid_weights * turning / (4.0 * np.pi)
+
+    @cached_property
+    def sheet_scale(self) -> FloatArray:
+        """w z2 / pi: the real factor of each source's row of the sheet velocity."""
+        return self.grid.trapezoid_weights * self.z2 / np.pi
 
     def require_resolved(self) -> None:
         """Raise if the parametrization is too degenerate for singular quadrature."""

@@ -27,24 +27,27 @@ without it the omitted node costs one full order of accuracy.  The rule is
 second order on C^2 data; beyond the grid the integrand is dropped, which the
 far-field decay of omega justifies.
 
-pv_all_nodes is one fused pass: it walks the source nodes OPERATOR_BLOCK rows
-at a time through two reused buffers, for t - z and t - zbar, and reduces
-each block at once against the density omega w z2 / pi; its memory is
-O(block N).  A solve that applies one curve's operator more than once (a
-Picard iteration, the implicit rate's probe loop) builds it with
-node_operator, the same rows times the scale, holds that one N x N array and
-passes it to pv_all_nodes.  Such a solve needs only V . dz/dalpha, where the
-limit's f' term drops (it is imaginary once multiplied by z'):
-tangential_velocity is one apply plus O(N) work, with no derivative of omega.
-pair_passes counts both kinds of pass, process-wide.
+pv_all_nodes is one fused pass: it walks the source nodes a block of rows at a
+time through two reused buffers, for t - z and t - zbar, and reduces each
+block at once against the density omega w z2 / pi; its memory is O(block N).
+A block has max(OPERATOR_BLOCK, BLOCK_PAIRS // N) rows, which depends on N
+alone, so a split pass and a one-thread pass walk the same blocks.  A solve
+that applies one curve's operator more than once (a Picard iteration, the
+implicit rate's probe loop) builds it with node_operator, holds those bare
+rows R and passes them to pv_all_nodes; an apply meets the same density, its
+scale formed once per curve (sheet_scale).  Such a solve needs only
+V . dz/dalpha, where the limit's f' term drops (it is imaginary once
+multiplied by z'): tangential_velocity is one apply plus O(N) work, with no
+derivative of omega.  pair_passes counts both kinds of pass, process-wide.
 
 From SPLIT_NODES nodes on, the calling thread runs the lower half of the
-target columns, cut at a multiple of OPERATOR_BLOCK, and one persistent helper
-thread the upper, each through its own half-width buffers.  Each half adds the
-source blocks into its own columns in the one-thread order, and a column's sum
-over a block does not depend on the width, so the result is bit-identical.  On
-2 cores a fused pass then takes 0.57 of its one-thread time at N = 2048 and
-0.7 at 1536; the two are level at SPLIT_NODES, and at 512 the split is 1.1x.
+target columns, cut at a multiple of the block height, and one persistent
+helper thread the upper, each through its own half-width buffers.  Each half
+adds the source blocks into its own columns in the one-thread order, and a
+column's sum over a block does not depend on the width, so the result is
+bit-identical.  On 2 cores a fused pass then takes 0.57 of its one-thread time
+at N = 2048 and 0.7 at 1536; the two are level at SPLIT_NODES, and below it
+the split is slower.
 """
 
 from __future__ import annotations
@@ -67,9 +70,11 @@ INV_2PI_I = 1.0 / (2j * np.pi)
 # inaccurate, so callers must switch to the one-sided limits.
 NEAR_FIELD_CELLS = 3.0
 
-# Source rows per block of a pass over the node pairs, so the buffers stay in
-# cache: 16 is at or near the fastest of 8-64 at N = 2048 and 4096, split or not.
+# Source rows per block of a pair pass: BLOCK_PAIRS // N, 64 at N = 256 and 32
+# at 512, but at least OPERATOR_BLOCK, at or near the fastest of 8-64 rows at
+# N = 2048 and 4096, split or not.
 OPERATOR_BLOCK = 16
+BLOCK_PAIRS = 16 * 1024
 
 # Node count from which a pair pass runs half of its targets on a helper thread.
 SPLIT_NODES = 1024
@@ -148,11 +153,6 @@ def _sheet_rows(sources: np.ndarray, t, puncture=(), out=None, mirror=None):
     return np.reciprocal(rows, out=rows)
 
 
-def _sheet_scale(curve: InterfaceCurve) -> FloatArray:
-    """The real factor w_k z2_k / pi of each source row of the sheet velocity."""
-    return curve.grid.trapezoid_weights * curve.z2 / np.pi
-
-
 # Whole O(N^2) passes over the node pairs: "assembly" builds an operator,
 # "fused" reduces the pairs against a density as it goes.
 pair_passes = {"assembly": 0, "fused": 0}
@@ -170,15 +170,16 @@ def _pair_pass(curve: InterfaceCurve, kind: str, use, out=None) -> None:
     """use(block, cols, rows) per source block and target half; rows fill ``out`` if given."""
     pair_passes[kind] += 1
     n = curve.grid.node_count
+    height = max(OPERATOR_BLOCK, BLOCK_PAIRS // n)
     sources, index = _source_columns(curve), np.arange(n)
-    cut = n // (2 * OPERATOR_BLOCK) * OPERATOR_BLOCK if n >= SPLIT_NODES else n
-    halves = [(c, np.empty((2, OPERATOR_BLOCK, c.stop - c.start), dtype=np.complex128))
+    cut = n // (2 * height) * height if n >= SPLIT_NODES else n
+    halves = [(c, np.empty((2, height, c.stop - c.start), dtype=np.complex128))
               for c in (slice(0, cut), slice(cut, n)) if c.stop > c.start]
 
     def half(cols: slice, buffer: np.ndarray) -> None:
         t, width = curve.z[cols], cols.stop - cols.start
-        for start in range(0, n, OPERATOR_BLOCK):
-            block = slice(start, min(start + OPERATOR_BLOCK, n))
+        for start in range(0, n, height):
+            block = slice(start, min(start + height, n))
             m, offset = block.stop - start, start - cols.start
             puncture = (index[:m], index[offset : offset + m]) if 0 <= offset < width else ()
             rows = buffer[0, :m] if out is None else out[block, cols]
@@ -194,19 +195,15 @@ def _pair_pass(curve: InterfaceCurve, kind: str, use, out=None) -> None:
 
 
 def node_operator(curve: InterfaceCurve) -> np.ndarray:
-    """The sheet operator at every node, (N, N), punctured on the diagonal.
+    """The bare product-form rows R at every node, (N, N), punctured on the diagonal.
 
-    For a solve that applies one curve's operator more than once: hold it in
-    a local and pass it to pv_all_nodes.  It is the only N x N array built.
+    An apply scales the density by the curve's sheet_scale.  For a solve that
+    applies one curve's operator more than once: hold it in a local and pass
+    it to pv_all_nodes.  It is the only N x N array built.
     """
     curve.require_resolved()
     op = np.empty((curve.grid.node_count,) * 2, dtype=np.complex128)
-    scale = _sheet_scale(curve)
-
-    def scale_rows(block, cols, rows):
-        rows.view(np.float64)[...] *= scale[block, None]
-
-    _pair_pass(curve, "assembly", scale_rows, op)
+    _pair_pass(curve, "assembly", lambda *_: None, op)
     op.flags.writeable = False
     return op
 
@@ -218,8 +215,8 @@ def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
 
 def _conjugate_pv(curve: InterfaceCurve, omega: VorticityStrength, far: np.ndarray, nodes):
     """u - iv at the on-curve targets ``nodes``, given their punctured sums ``far``."""
-    (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
-    dz, d2z = d1x[nodes] + 1j * d1y[nodes], d2x[nodes] + 1j * d2y[nodes]
+    d2x, d2y = curve.d2
+    dz, d2z = curve.dz[nodes], d2x[nodes] + 1j * d2y[nodes]
     limit = diagonal_limit(dz, d2z, omega.omega[nodes], omega.d1[nodes])
     return far + curve.grid.trapezoid_weights[nodes] * limit * INV_2PI_I
 
@@ -236,7 +233,7 @@ def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Vel
     tol = NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
     if dist < tol:
         raise TooCloseToCurve(dist, tol)
-    w = _apply(_sheet_rows(_source_columns(curve), [t]), omega.omega * _sheet_scale(curve))[0]
+    w = _apply(_sheet_rows(_source_columns(curve), [t]), omega.omega * curve.sheet_scale)[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 
@@ -258,7 +255,7 @@ def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int
     """Mean (principal-value) velocity on the curve at node j."""
     _require_shared_grid(curve, omega)
     row = node_row(curve, j)[:, None]
-    w = _conjugate_pv(curve, omega, _apply(row, omega.omega * _sheet_scale(curve)), [j])[0]
+    w = _conjugate_pv(curve, omega, _apply(row, omega.omega * curve.sheet_scale), [j])[0]
     return Velocity2(float(w.real), float(-w.imag))
 
 
@@ -268,12 +265,13 @@ def pv_all_nodes(
     """Principal-value velocity (u, v) at every node.
 
     One fused O(N^2) pass, unless ``operator``, the curve's node_operator held
-    by a solve that applies it repeatedly, is given.
+    by a solve that applies it repeatedly, is given; either way the rows meet
+    the density omega w z2 / pi.
     """
     _require_shared_grid(curve, omega)
     curve.require_resolved()
+    density = omega.omega * curve.sheet_scale
     if operator is None:  # reduce each block against the density; store no operator
-        density = omega.omega * _sheet_scale(curve)
         far = np.zeros(curve.grid.node_count, dtype=np.complex128)
 
         def reduce(block, cols, rows):
@@ -281,7 +279,7 @@ def pv_all_nodes(
 
         _pair_pass(curve, "fused", reduce)
     else:
-        far = _apply(operator, omega.omega)
+        far = _apply(operator, density)
     w = _conjugate_pv(curve, omega, far, slice(None))
     return w.real, -w.imag
 
@@ -289,12 +287,12 @@ def pv_all_nodes(
 def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.ndarray):
     """V . dz/dalpha = Re((u - iv) z') at every node: one apply of the held node_operator.
 
-    Times z', the limit's omega' term -w omega' / (2 pi i) is imaginary, so no
-    derivative of omega is needed; the rest of the limit is tangential_limit * omega.
+    The apply meets omega times the curve's sheet_scale.  Times z', the limit's
+    omega' term -w omega' / (2 pi i) is imaginary, so no derivative of omega
+    is needed; the rest of the limit is tangential_limit * omega.
     """
-    far = _apply(operator, omega)
-    d1x, d1y = curve.d1
-    return far.real * d1x - far.imag * d1y + curve.tangential_limit * omega
+    far = _apply(operator, omega * curve.sheet_scale)
+    return (far * curve.dz).real + curve.tangential_limit * omega
 
 
 def plemelj_velocity(

@@ -100,14 +100,14 @@ def solve_vorticity_general(
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     rhs = vorticity_rhs(curve, params)
-    mask = far_field_mask(curve.grid)
-    omega_arr = mask * rhs / params.viscosity_mean
+    weight = far_field_mask(curve.grid) / params.viscosity_mean
+    omega_arr = weight * rhs
     if operator is None:
         operator = node_operator(curve)
     diff = np.inf
     for iteration in range(1, PICARD_MAX_ITER + 1):
         v_dot_t = tangential_velocity(curve, omega_arr, operator)
-        new = mask * (rhs + params.viscosity_jump * v_dot_t) / params.viscosity_mean
+        new = weight * (rhs + params.viscosity_jump * v_dot_t)
         diff = float(np.max(np.abs(new - omega_arr)))
         omega_arr = new
         if diff <= tol:

@@ -113,11 +113,12 @@ def omega_rhs(
     probe_curve.require_resolved()
     probe_operator = node_operator(probe_curve)
 
+    gain = 2.0 * a / dt_probe
     rate = explicit
     diff = np.inf
     for iteration in range(1, MAX_IMPLICIT_ITER + 1):
         b_probe = tangential_velocity(probe_curve, omega.omega + dt_probe * rate, probe_operator)
-        new_rate = explicit + 2.0 * a * (b_probe - b0) / dt_probe
+        new_rate = explicit + gain * (b_probe - b0)
         diff = float(np.max(np.abs(new_rate - rate)))
         rate = new_rate
         if diff <= tol:

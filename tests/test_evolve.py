@@ -241,7 +241,8 @@ class TestRun:
         cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=0.03, snapshot_every=1)
         sink = MemorySink()
         summary = run(cfg, trough_state(grid256, stable_params()), [sink])
+        derived = {"z", "dz", "d1", "d2", "speed_squared", "tangential_limit", "sheet_scale"}
         for _, curve, omega in sink.snapshots:
-            assert not {"z", "d1", "d2", "speed_squared", "tangential_limit"} & set(vars(curve))
+            assert not derived & set(vars(curve))
             assert "d1" not in vars(omega)
         assert min_depth(sink.snapshots[-1][1]).m == summary.final_min_depth

@@ -277,13 +277,18 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONTRAST = {"mu_plus": 2.0, "mu_minus": 0.5}
 
 
+def sheet_scale(curve):
+    """w z2 / pi, the factor of each source row of the sheet velocity."""
+    return curve.grid.trapezoid_weights * curve.z2 / np.pi
+
+
 def assert_fused_matches_held(curve, omega):
     """The fused pass and the held operator's apply differ only by summation
     order: per node, within sqrt(N) eps of the sum of the absolute terms."""
     op = kernels.node_operator(curve)
     u, v = pv_all_nodes(curve, omega)
     held_u, held_v = pv_all_nodes(curve, omega, op)
-    terms = np.abs(omega.omega) @ np.abs(op)
+    terms = np.abs(omega.omega * sheet_scale(curve)) @ np.abs(op)
     tol = np.sqrt(curve.grid.node_count) * np.finfo(np.float64).eps * terms
     assert np.all(np.abs((u - held_u) - 1j * (v - held_v)) <= tol)
     return np.array((u, v))
@@ -351,7 +356,8 @@ class TestOneOperator:
         v_dot_t = kernels.tangential_velocity(curve, omega.omega, op)
         limit = node_limit(curve, omega.omega, omega.d1)
         w = curve.grid.trapezoid_weights
-        terms = np.abs(omega.omega) @ np.abs(op) + w * np.abs(limit) / (2 * np.pi)
+        terms = np.abs(omega.omega * sheet_scale(curve)) @ np.abs(op)
+        terms += w * np.abs(limit) / (2 * np.pi)
         tol = np.sqrt(n) * np.finfo(np.float64).eps * terms * np.sqrt(curve.speed_squared)
         assert np.all(np.abs(v_dot_t - (u * d1x + v * d1y)) <= tol)
 
@@ -386,7 +392,7 @@ class TestOneOperator:
     )
     def test_operator_against_long_double_near_bottom(self):
         # the two kernels nearly cancel where the curve nears the bottom; the
-        # product form keeps every entry to roundoff, held or fused
+        # product form R keeps every entry to roundoff, held or fused
         grid = Grid(20.0, 512)
         curve, _ = build_initial(InitialSpec(profile="pinch", delta=1e-3, window_ramp=4.0), grid)
         op = kernels.node_operator(curve)
@@ -394,8 +400,7 @@ class TestOneOperator:
         first = z[None, :] - z[:, None]
         np.fill_diagonal(first, np.inf)  # punctured: the reciprocal gives 0
         pair = 1.0 / first - 1.0 / (z[None, :] - np.conj(z)[:, None])
-        w = grid.trapezoid_weights.astype(np.longdouble)
-        ref = pair * (w / (2j * np.longdouble(np.pi)))[:, None]
+        ref = pair / (z - np.conj(z))[:, None]  # R = the kernel difference over z_k - zbar_k
         rel = np.abs(op - ref) / np.abs(ref)
         assert float(np.max(rel)) <= 1e-14
         # the fused pass against the summed reference, per node relative to
@@ -403,8 +408,10 @@ class TestOneOperator:
         omega = solve_vorticity_equal(curve, PhysicalParams(model=Model.MUSKAT))
         u, v = pv_all_nodes(curve, omega)
         limit = node_limit(curve, omega.omega, omega.d1)
-        ref_sum = omega.omega.astype(np.longdouble) @ ref + w * limit * kernels.INV_2PI_I
-        err = np.abs((u - 1j * v) - ref_sum) / (np.abs(omega.omega) @ np.abs(ref))
+        w = grid.trapezoid_weights.astype(np.longdouble)
+        density = omega.omega * w * z.imag / np.longdouble(np.pi)
+        ref_sum = density @ ref + w * limit * kernels.INV_2PI_I
+        err = np.abs((u - 1j * v) - ref_sum) / (np.abs(density) @ np.abs(ref))
         assert float(np.max(err)) <= 1e-14
 
     def test_assembly_peak_is_one_operator(self):
@@ -446,8 +453,9 @@ def off_main_thread(fn):
 
 class TestSplitPass:
     # from SPLIT_NODES on, a pair pass runs the upper half of its target
-    # columns on a helper thread; 2056 / 2 is not a multiple of OPERATOR_BLOCK
-    @pytest.mark.parametrize("n", [1024, 2048, 2056])
+    # columns on a helper thread, cut at a multiple of the block height: 64
+    # rows at N = 256, 32 at 512, 16 from 1024 on; 2056 / 2 is not a multiple of 16
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048, 2056])
     @pytest.mark.parametrize("config", ["stable_relaxation", "internal_wave", "unstable_pinch"])
     def test_bit_identical_to_one_thread(self, config, n, monkeypatch):
         state = initial_state(with_grid(parse_config(str(CONFIGS / f"{config}.cfg")), n))
