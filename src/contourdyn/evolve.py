@@ -10,9 +10,11 @@ The mask pins the decay bands to the exact flat state, which is the truncated
 domain's far-field closure; the suppressed motion is the O(1/distance^2) tail
 the truncation drops anyway.  Classical RK4 does the stepping; for Muskat the
 sheet strength is re-solved from the curve at every stage, for water waves the
-pair (z, omega) advances jointly.  A viscosity contrast's acceptance solve
-holds the accepted curve's operator, so it also gives that state's field,
-which the next step takes as its k1.
+pair (z, omega) advances jointly.  A stage builds the stage curve's operator
+when the closure needs one (a viscosity contrast's Picard solve, the wave
+rate), solves the closure and takes the velocity from that operator.  A
+contrast's acceptance solve holds the accepted curve's operator, so it also
+gives that state's field, which the next step takes as its k1.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -29,22 +31,9 @@ import numpy as np
 
 from . import muskat, waterwaves
 from .analysis import BLOWUP_CAP, CHORD_ARC_CAP, DepthDiagnostics, depth_rate
-from .errors import (
-    BottomContact,
-    ContourError,
-    NoConvergence,
-    StabilityFailure,
-)
-from .geometry import (
-    FloatArray,
-    Grid,
-    InterfaceCurve,
-    Model,
-    PhysicalParams,
-    far_field_mask,
-    holder_norms,
-    min_depth,
-)
+from .errors import BottomContact, ContourError, NoConvergence, StabilityFailure
+from .geometry import FloatArray, Grid, InterfaceCurve, Model, PhysicalParams
+from .geometry import far_field_mask, holder_norms, min_depth
 from .kernels import VorticityStrength, node_operator, pv_all_nodes
 
 logger = logging.getLogger(__name__)
@@ -121,22 +110,24 @@ class RunSummary:
     message: str = ""
 
 
-def _muskat_field(curve: InterfaceCurve, config: SimConfig, mask: FloatArray):
-    """(omega, masked velocity); a contrast's Picard solve and velocity share one operator."""
-    operator = None if muskat.equal_viscosity(config.params) else node_operator(curve)
-    omega = muskat.solve_vorticity(curve, config.params, operator)
+def _stage_field(curve: InterfaceCurve, y: FloatArray, config: SimConfig, mask: FloatArray):
+    """(omega, masked field) of one stage curve; ``y`` carries a wave state's omega.
+
+    The wave rate and a contrast's Picard solve hold the curve's operator, and
+    the velocity is one more apply of it; else the velocity is one fused pass.
+    """
+    params = config.params
+    waves = config.model is Model.WATER_WAVES
+    operator = node_operator(curve) if waves or not muskat.equal_viscosity(params) else None
+    if waves:
+        omega = VorticityStrength(config.grid, y[2], validate=False)
+        state = waterwaves.WaveState(curve, omega, operator)
+        u, v = state.velocity
+        rate = waterwaves.omega_rhs(state, params)
+        return omega, np.stack((mask * u, mask * v, mask * rate))
+    omega = muskat.solve_vorticity(curve, params, operator)
     u, v = pv_all_nodes(curve, omega, operator)
     return omega, np.stack((mask * u, mask * v))
-
-
-def _waves_field(y: FloatArray, config: SimConfig, mask: FloatArray, dt_probe: float) -> FloatArray:
-    curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-    curve.require_resolved()
-    omega = VorticityStrength(config.grid, y[2], validate=False)
-    state = waterwaves.WaveState(curve, omega)
-    u, v = state.velocity
-    om_rate = waterwaves.omega_rhs(state, config.params, dt_probe=dt_probe)
-    return np.stack((mask * u, mask * v, mask * om_rate))
 
 
 def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
@@ -158,7 +149,7 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
     if muskat.equal_viscosity(config.params):  # here the field would cost one more pass
         return SimState(curve, muskat.solve_vorticity_equal(curve, config.params), t_new)
     # the contrast solve holds the operator: one more apply gives the next step's k1
-    omega, field = _muskat_field(curve, config, far_field_mask(config.grid))
+    omega, field = _stage_field(curve, y, config, far_field_mask(config.grid))
     return SimState(curve, omega, t_new, field, config)
 
 
@@ -170,10 +161,8 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
 
     def field(y: FloatArray) -> FloatArray:
-        if waves:
-            return _waves_field(y, config, mask, dt_probe=dt)
         curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-        return _muskat_field(curve, config, mask)[1]
+        return _stage_field(curve, y, config, mask)[1]
 
     reuse = state.field is not None and state.accepted_under == config
     k1 = state.field if reuse else field(y0)

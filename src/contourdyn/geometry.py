@@ -165,12 +165,15 @@ class PhysicalParams:
         return self.density_jump / total
 
 
-def _fd_stencils(values: FloatArray, h: float, order: int) -> FloatArray:
-    """Fourth-order central differences on the interior; edges left untouched."""
-    v = np.asarray(values, dtype=np.float64)
+def fd_derivative(values: FloatArray, h: float, order: int, edge_value: float = 0.0) -> FloatArray:
+    """Fourth-order central difference of real or complex samples, flat on the edge bands.
+
+    The outermost DECAY_BAND nodes on each side are set to ``edge_value``; this
+    is exact for functions that are constant on the bands, which the far-field
+    decay invariant guarantees for every field we differentiate.
+    """
+    v = np.asarray(values, dtype=np.result_type(values, 1.0))
     out = np.zeros_like(v)
-    if v.size < 5:
-        return out
     if order == 1:
         out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
     elif order == 2:
@@ -179,17 +182,6 @@ def _fd_stencils(values: FloatArray, h: float, order: int) -> FloatArray:
         )
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return out
-
-
-def fd_derivative(values: FloatArray, h: float, order: int, edge_value: float = 0.0) -> FloatArray:
-    """Fourth-order finite difference with flat-state substitution on the edge bands.
-
-    The outermost DECAY_BAND nodes on each side are set to ``edge_value``; this
-    is exact for functions that are constant on the bands, which the far-field
-    decay invariant guarantees for every field we differentiate.
-    """
-    out = _fd_stencils(values, h, order)
     band = min(DECAY_BAND, out.size // 2)
     out[:band] = edge_value
     out[out.size - band:] = edge_value

@@ -31,14 +31,15 @@ pv_all_nodes is one fused pass: it walks the source nodes a block of rows at a
 time through two reused buffers, for t - z and t - zbar, and reduces each
 block at once against the density omega w z2 / pi; its memory is O(block N).
 A block has max(OPERATOR_BLOCK, BLOCK_PAIRS // N) rows, which depends on N
-alone, so a split pass and a one-thread pass walk the same blocks.  A solve
-that applies one curve's operator more than once (a Picard iteration, the
-implicit rate's probe loop) builds it with node_operator, holds those bare
-rows R and passes them to pv_all_nodes; an apply meets the same density, its
-scale formed once per curve (sheet_scale).  Such a solve needs only
-V . dz/dalpha, where the limit's f' term drops (it is imaginary once
-multiplied by z'): tangential_velocity is one apply plus O(N) work, with no
-derivative of omega.  pair_passes counts both kinds of pass, process-wide.
+alone, so a split pass and a one-thread pass walk the same blocks.  A closure
+that applies one curve's operator more than once (the Picard solve, the wave
+rate) holds its node_operator, the bare rows R, and passes it to pv_all_nodes;
+an apply meets the same density, its scale formed once per curve.  Both
+closures iterate in solve_tangential on V . dz/dalpha, where the limit's f'
+term drops (it is imaginary once multiplied by z'): tangential_velocity is one
+apply plus O(N) work.  tangential_velocity_rate, the wave rate's shape
+derivative, reads the same rows and their squares.  pair_passes counts both
+kinds of pass, process-wide.
 
 From SPLIT_NODES nodes on, the calling thread runs the lower half of the
 target columns, cut at a multiple of the block height, and one persistent
@@ -60,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TooCloseToCurve, ValidationError
+from .errors import NoConvergence, TooCloseToCurve, ValidationError
 from .geometry import DECAY_TOL, FloatArray, Grid, InterfaceCurve, fd_derivative
 
 INV_2PI_I = 1.0 / (2j * np.pi)
@@ -78,6 +79,9 @@ BLOCK_PAIRS = 16 * 1024
 
 # Node count from which a pair pass runs half of its targets on a helper thread.
 SPLIT_NODES = 1024
+
+# Sup-norm change of successive iterates at which solve_tangential stops.
+FIXED_POINT_TOL = 1e-10
 
 
 class Velocity2(NamedTuple):
@@ -166,24 +170,30 @@ def _helper():
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="contourdyn-pairs")
 
 
+def _blocks(n: int):
+    """The source blocks of a pass over n nodes: max(OPERATOR_BLOCK, BLOCK_PAIRS // n) rows each."""
+    height = max(OPERATOR_BLOCK, BLOCK_PAIRS // n)
+    return height, [slice(start, min(start + height, n)) for start in range(0, n, height)]
+
+
 def _pair_pass(curve: InterfaceCurve, kind: str, use, out=None) -> None:
     """use(block, cols, rows) per source block and target half; rows fill ``out`` if given."""
     pair_passes[kind] += 1
     n = curve.grid.node_count
-    height = max(OPERATOR_BLOCK, BLOCK_PAIRS // n)
+    height, blocks = _blocks(n)
     sources, index = _source_columns(curve), np.arange(n)
     cut = n // (2 * height) * height if n >= SPLIT_NODES else n
-    halves = [(c, np.empty((2, height, c.stop - c.start), dtype=np.complex128))
+    planes = 1 if out is not None else 2  # an assembly writes its rows straight into ``out``
+    halves = [(c, np.empty((planes, height, c.stop - c.start), dtype=np.complex128))
               for c in (slice(0, cut), slice(cut, n)) if c.stop > c.start]
 
     def half(cols: slice, buffer: np.ndarray) -> None:
         t, width = curve.z[cols], cols.stop - cols.start
-        for start in range(0, n, height):
-            block = slice(start, min(start + height, n))
-            m, offset = block.stop - start, start - cols.start
+        for block in blocks:
+            m, offset = block.stop - block.start, block.start - cols.start
             puncture = (index[:m], index[offset : offset + m]) if 0 <= offset < width else ()
             rows = buffer[0, :m] if out is None else out[block, cols]
-            use(block, cols, _sheet_rows(sources[block], t, puncture, rows, buffer[1, :m]))
+            use(block, cols, _sheet_rows(sources[block], t, puncture, rows, buffer[-1, :m]))
 
     # the helper's half runs in a copy of the caller's context, which holds numpy's errstate
     helped = [_helper().submit(copy_context().run, half, *h) for h in halves[1:]]
@@ -293,6 +303,56 @@ def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.n
     """
     far = _apply(operator, omega * curve.sheet_scale)
     return (far * curve.dz).real + curve.tangential_limit * omega
+
+
+def tangential_velocity_rate(
+    curve: InterfaceCurve, omega: FloatArray, velocity, operator: np.ndarray
+) -> FloatArray:
+    """d/dt of tangential_velocity as the nodes move with velocity (u, v), omega fixed.
+
+    With a = omega sheet_scale and zdot = u + iv, a moves by omega w v / pi
+    (one apply of the held rows R) and each off-diagonal R_kj by -2 R_kj^2
+    [zdot_j (z_j - x_k) - z_j u_k + x_k u_k + y_k v_k]: (a, a x, a u, a (u x + v y))
+    against R o R, squared a block of rows at a time into one reused buffer.
+    The punctured mirror value a_j / (4 y_j^2) moves by -a_j v_j / (4 y_j^3),
+    tangential_limit by w Im((zdot'' z' - z'' zdot') / z'^2) / (4 pi).
+    """
+    u, v = velocity
+    x, y, z, w = curve.z1, curve.z2, curve.z, curve.grid.trapezoid_weights
+    a = omega * curve.sheet_scale
+    far, moved = _apply(operator, np.stack((a, omega * w * v / np.pi)))
+    weights = np.stack((a, a * x, a * u, a * (u * x + v * y)))
+    height, blocks = _blocks(curve.grid.node_count)
+    squares = np.empty((height, curve.grid.node_count), dtype=np.complex128)
+    sums = 0.0
+    for block in blocks:
+        held = operator[block]
+        rows = np.multiply(held, held, out=squares[: len(held)])
+        rows[np.arange(len(rows)), np.arange(block.start, block.stop)] = 0.0
+        sums = sums + _apply(rows, weights[:, block])
+    zdot = u + 1j * v
+    # moved holds the diagonal's a v / (4 y^3); the mirror value moves by minus that
+    moved -= 2.0 * (zdot * (z * sums[0] - sums[1]) - z * sums[2] + sums[3]) + a * v / (2.0 * y**3)
+    dz, (d2x, d2y), h = curve.dz, curve.d2, curve.grid.spacing
+    dzdot, d2zdot = fd_derivative(zdot, h, 1), fd_derivative(zdot, h, 2)
+    turning = ((d2zdot * dz - (d2x + 1j * d2y) * dzdot) / (dz * dz)).imag
+    return (moved * dz + far * dzdot).real + w * turning * omega / (4.0 * np.pi)
+
+
+def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, max_iter, what):
+    """x = weight (rhs + gain V(x) . dz/dalpha) by fixed-point iteration from weight * rhs.
+
+    One tangential_velocity apply of the held operator and O(N) work per
+    iteration, until successive iterates agree to tol in the sup norm.
+    Returns x and the iteration count; NoConvergence after max_iter.
+    """
+    x, diff = weight * rhs, np.inf
+    for iteration in range(1, max_iter + 1):
+        new = weight * (rhs + gain * tangential_velocity(curve, x, operator))
+        diff, x = float(np.max(np.abs(new - x))), new
+        if diff <= tol:
+            return x, iteration
+    raise NoConvergence(max_iter, diff, what=what)
 
 
 def plemelj_velocity(

@@ -17,27 +17,20 @@ held operator plus O(N) work.
 
 The interior mask keeps omega exactly zero on the decay bands, consistent with
 the truncated-domain far-field closure; the Picard iteration solves this masked
-discrete equation, one tangential_velocity apply and one masked update per
-iteration, and stops when successive iterates agree to tol in the sup norm.
+discrete equation (kernels.solve_tangential, one apply and one masked update
+per iteration) until successive iterates agree to tol in the sup norm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
+from .errors import ValidationError
 from .geometry import (
-    FloatArray,
-    InterfaceCurve,
-    Model,
-    PhysicalParams,
-    curvature,
-    far_field_mask,
-    fd_derivative,
+    FloatArray, InterfaceCurve, Model, PhysicalParams, curvature, far_field_mask, fd_derivative,
 )
-from .kernels import VorticityStrength, node_operator, tangential_velocity
+from .kernels import FIXED_POINT_TOL, VorticityStrength, node_operator, solve_tangential
 
-PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
 
@@ -84,7 +77,7 @@ def solve_vorticity_equal(curve: InterfaceCurve, params: PhysicalParams) -> Vort
 def solve_vorticity_general(
     curve: InterfaceCurve,
     params: PhysicalParams,
-    tol: float = PICARD_TOL,
+    tol: float = FIXED_POINT_TOL,
     operator: np.ndarray | None = None,
 ) -> VorticityStrength:
     """Picard solve of the viscosity-contrast integral equation.
@@ -99,22 +92,15 @@ def solve_vorticity_general(
     _require_muskat(params)
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    rhs = vorticity_rhs(curve, params)
+    operator = node_operator(curve) if operator is None else operator
     weight = far_field_mask(curve.grid) / params.viscosity_mean
-    omega_arr = weight * rhs
-    if operator is None:
-        operator = node_operator(curve)
-    diff = np.inf
-    for iteration in range(1, PICARD_MAX_ITER + 1):
-        v_dot_t = tangential_velocity(curve, omega_arr, operator)
-        new = weight * (rhs + params.viscosity_jump * v_dot_t)
-        diff = float(np.max(np.abs(new - omega_arr)))
-        omega_arr = new
-        if diff <= tol:
-            result = VorticityStrength(curve.grid, omega_arr)
-            result.iterations = iteration
-            return result
-    raise NoConvergence(PICARD_MAX_ITER, diff, what="viscosity-contrast Picard iteration")
+    omega_arr, iterations = solve_tangential(
+        curve, operator, vorticity_rhs(curve, params), params.viscosity_jump, weight,
+        tol=tol, max_iter=PICARD_MAX_ITER, what="viscosity-contrast Picard iteration",
+    )
+    result = VorticityStrength(curve.grid, omega_arr)
+    result.iterations = iterations
+    return result
 
 
 def solve_vorticity(

@@ -8,14 +8,18 @@ T = dz/dalpha, the sheet strength evolves as
                               - 2 A g z2 ]
                   + 2 A d/dt [ V . T ].
 
-The last term contains the time derivative being solved for, so each
-evaluation resolves it by fixed-point iteration: the state is advanced by a
-virtual step dt_probe with the current rate guess, V . T is re-evaluated
-there, and the forward difference feeds back until the rate stops changing.
-Each probe iteration is one apply of the probe curve's held operator in the
-omega'-free tangential form (kernels.tangential_velocity).  The probe
-difference carries an O(dt_probe) bias, which is the price of keeping the
-implicit term purely evaluative.
+The last term holds the rate being solved for.  V . T is linear in omega
+through the curve's operator T.K, so along the unmasked velocity zdot = u + iv
+it is d/dt [ V . T ] = (T.K) omega_t + d_zdot(V . T)[omega], the last term
+moving the nodes at fixed omega.  Each evaluation solves
+
+    (I - 2A T.K) omega_t = explicit + 2A d_zdot(V . T)[omega]
+
+on the stage curve's held operator: the shape derivative in closed form from
+the operator's rows (kernels.tangential_velocity_rate), then the fixed-point
+loop of kernels.solve_tangential, one apply per iteration; the vortex-sheet
+form of Baker, Meiron and Orszag (JFM 123, 1982).  The rate depends on no
+step size, so RK4 stays fourth order in time.
 """
 
 from __future__ import annotations
@@ -26,38 +30,36 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
-from .geometry import (
-    FloatArray,
-    InterfaceCurve,
-    Model,
-    PhysicalParams,
-    curvature,
-    fd_derivative,
+from .errors import ValidationError
+from .geometry import FloatArray, InterfaceCurve, Model, PhysicalParams, curvature, fd_derivative
+from .kernels import (
+    FIXED_POINT_TOL, VorticityStrength, node_operator, pv_all_nodes, solve_tangential,
+    tangential_velocity_rate,
 )
-from .kernels import VorticityStrength, node_operator, pv_all_nodes, tangential_velocity
 
 logger = logging.getLogger(__name__)
 
-IMPLICIT_TOL = 1e-10
 MAX_IMPLICIT_ITER = 50
 
 
 @dataclass(frozen=True)
 class WaveState:
-    """Curve and sheet strength of the wave system."""
+    """Curve, sheet strength and the curve's node_operator, built unless given."""
 
     curve: InterfaceCurve
     omega: VorticityStrength
+    operator: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.curve.grid != self.omega.grid:
             raise ValidationError("curve and omega must share the same grid")
+        if self.operator is None:
+            object.__setattr__(self, "operator", node_operator(self.curve))
 
     @cached_property
     def velocity(self) -> tuple[FloatArray, FloatArray]:
-        """Principal-value velocity (u, v) at every node, one pass per state."""
-        return pv_all_nodes(self.curve, self.omega)
+        """Principal-value velocity (u, v) at every node."""
+        return pv_all_nodes(self.curve, self.omega, self.operator)
 
 
 def _require_waves(params: PhysicalParams) -> None:
@@ -69,59 +71,26 @@ def bracket_term(state: WaveState, params: PhysicalParams) -> FloatArray:
     """The quantity differentiated in the transport part of the omega equation."""
     _require_waves(params)
     curve, omega = state.curve, state.omega
-    a = params.atwood
     u, v = state.velocity
-    rho_total = params.rho_plus + params.rho_minus
-    bracket = (
-        a * (u * u + v * v)
-        - 0.25 * a * omega.omega**2 / curve.speed_squared
-        - 2.0 * a * params.g * curve.z2
-    )
+    kinetic = u * u + v * v - 0.25 * omega.omega**2 / curve.speed_squared
+    bracket = params.atwood * (kinetic - 2.0 * params.g * curve.z2)
     if params.gamma != 0.0:
-        bracket = bracket - 2.0 * params.gamma * curvature(curve) / rho_total
+        bracket -= 2.0 * params.gamma * curvature(curve) / (params.rho_plus + params.rho_minus)
     return bracket
 
 
-def omega_rhs(
-    state: WaveState,
-    params: PhysicalParams,
-    dt_probe: float,
-    tol: float = IMPLICIT_TOL,
-) -> FloatArray:
-    """Time derivative of the sheet strength, implicit term resolved.
-
-    ``dt_probe`` is the virtual step used to difference V . T along the flow;
-    a time integrator passes its own step size.
-    """
+def omega_rhs(state: WaveState, params: PhysicalParams, tol: float = FIXED_POINT_TOL) -> FloatArray:
+    """Time derivative of the sheet strength, implicit term resolved on the state's operator."""
     _require_waves(params)
-    if dt_probe <= 0.0:
-        raise ValidationError(f"dt_probe must be positive, got {dt_probe}")
     curve, omega = state.curve, state.omega
     a = params.atwood
-    h = curve.grid.spacing
-
-    explicit = -fd_derivative(bracket_term(state, params), h, 1, edge_value=0.0)
+    explicit = -fd_derivative(bracket_term(state, params), curve.grid.spacing, 1, edge_value=0.0)
     if a == 0.0:
         return explicit
-
-    u, v = state.velocity
-    d1x, d1y = curve.d1
-    b0 = u * d1x + v * d1y
-    probe_curve = InterfaceCurve(
-        curve.grid, curve.z1 + dt_probe * u, curve.z2 + dt_probe * v, validate=False
+    moving = tangential_velocity_rate(curve, omega.omega, state.velocity, state.operator)
+    rate, iterations = solve_tangential(
+        curve, state.operator, explicit + 2.0 * a * moving, 2.0 * a,
+        tol=tol, max_iter=MAX_IMPLICIT_ITER, what="implicit omega-rate iteration",
     )
-    probe_curve.require_resolved()
-    probe_operator = node_operator(probe_curve)
-
-    gain = 2.0 * a / dt_probe
-    rate = explicit
-    diff = np.inf
-    for iteration in range(1, MAX_IMPLICIT_ITER + 1):
-        b_probe = tangential_velocity(probe_curve, omega.omega + dt_probe * rate, probe_operator)
-        new_rate = explicit + gain * (b_probe - b0)
-        diff = float(np.max(np.abs(new_rate - rate)))
-        rate = new_rate
-        if diff <= tol:
-            logger.debug("implicit omega rate converged in %d iterations", iteration)
-            return rate
-    raise NoConvergence(MAX_IMPLICIT_ITER, diff, what="implicit omega-rate iteration")
+    logger.debug("implicit omega rate converged in %d iterations", iterations)
+    return rate

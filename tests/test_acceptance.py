@@ -5,6 +5,7 @@ report.  Every tolerance is fixed here; nothing is calibrated at runtime.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from contourdyn.analysis import (
     identity_defect,
     log_bound_ratio,
 )
+from contourdyn.cli import initial_state
+from contourdyn.config import parse_config, with_grid
 from contourdyn.evolve import SimConfig, SimState, run, step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
 from contourdyn.io import MemorySink
@@ -27,6 +30,8 @@ from contourdyn.muskat import solve_vorticity_equal, solve_vorticity_general
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
 from support import gaussian_strength, random_smooth_pair
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -300,4 +305,22 @@ def test_criterion_9_equilibria_and_order():
         ok,
         f"flat-state drift over 100 steps = {worst_drift:.2e} (budget 1e-12); "
         f"step-halving order = {order:.2f} (budget [3.8, 4.2])",
+    )
+
+
+def test_criterion_9_wave_order():
+    # the implicit omega rate carries no step-size bias, so RK4 stays fourth order
+    parsed = with_grid(parse_config(str(CONFIGS / "internal_wave.cfg")), 128)
+    s0 = initial_state(parsed)
+
+    def advance(dt, n):
+        s = s0
+        for _ in range(n):
+            s = step(s, parsed.sim, dt=dt)
+        return np.stack([s.curve.z1, s.curve.z2, s.omega.omega])
+
+    y1, y2, y3 = advance(0.1, 4), advance(0.05, 8), advance(0.025, 16)
+    order = float(np.log2(np.max(np.abs(y1 - y2)) / np.max(np.abs(y2 - y3))))
+    assert report(
+        9, 3.8 <= order <= 4.2, f"internal wave step-halving order = {order:.2f} (budget [3.8, 4.2])"
     )

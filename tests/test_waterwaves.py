@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from contourdyn.errors import ValidationError
-from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
-from contourdyn.kernels import VorticityStrength, pv_all_nodes
+from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, fd_derivative
+from contourdyn.kernels import (
+    VorticityStrength,
+    node_operator,
+    pv_all_nodes,
+    tangential_velocity,
+    tangential_velocity_rate,
+)
 from contourdyn.waterwaves import WaveState, bracket_term, omega_rhs
 
 from support import bump_curve, gaussian_strength
@@ -57,7 +63,7 @@ class TestBracket:
 
 class TestOmegaRhs:
     def test_flat_equilibrium(self, grid256):
-        rate = omega_rhs(flat_state(grid256), wave_params(), dt_probe=0.01)
+        rate = omega_rhs(flat_state(grid256), wave_params())
         assert np.all(rate == 0.0)
 
     def test_gravity_dominated_rate(self, grid256):
@@ -65,7 +71,7 @@ class TestOmegaRhs:
         params = wave_params()
         curve = bump_curve(grid256, 0.1)
         state = WaveState(curve, VorticityStrength(grid256, np.zeros(grid256.node_count)))
-        rate = omega_rhs(state, params, dt_probe=0.01)
+        rate = omega_rhs(state, params)
         inner = np.abs(grid256.alpha) <= 4.0
         expect = -0.1 * np.sin(grid256.alpha)
         assert np.max(np.abs(rate[inner] - expect[inner])) <= 2e-2
@@ -74,7 +80,7 @@ class TestOmegaRhs:
         params = wave_params(rho_plus=1.0, rho_minus=1.0, g=2.0)
         curve = bump_curve(grid256, 0.2)
         state = WaveState(curve, gaussian_strength(grid256, amplitude=0.3))
-        rate = omega_rhs(state, params, dt_probe=0.01)
+        rate = omega_rhs(state, params)
         # A = 0, gamma = 0, c = 0: the bracket vanishes identically
         assert np.allclose(rate, 0.0, atol=1e-12)
 
@@ -85,35 +91,49 @@ class TestOmegaRhs:
         params = wave_params()
         curve = bump_curve(grid256, 0.1)
         state = WaveState(curve, gaussian_strength(grid256, amplitude=0.2))
-        rate = omega_rhs(state, params, dt_probe=0.01)
+        rate = omega_rhs(state, params)
         band = grid256.band_mask
         assert np.max(np.abs(rate[band])) <= 1e-2 * np.max(np.abs(rate))
 
-    def test_bad_probe(self, grid256):
-        with pytest.raises(ValidationError):
-            omega_rhs(flat_state(grid256), wave_params(), dt_probe=0.0)
-
-    def test_implicit_iteration_contracts(self, grid256):
-        # the converged rate reproduces itself under one more substitution
+    def test_rate_resubstitutes(self, grid256):
+        # the converged rate solves (I - 2A T.K) rate = explicit + 2A d_zdot(V . T)
         params = wave_params()
-        curve = bump_curve(grid256, 0.05)
-        omega = gaussian_strength(grid256, amplitude=0.1)
-        state = WaveState(curve, omega)
-        dt_probe = 0.01
-        rate = omega_rhs(state, params, dt_probe=dt_probe, tol=1e-12)
-        u, v = pv_all_nodes(curve, omega)
-        d1x, d1y = curve.d1
-        b0 = u * d1x + v * d1y
-        probe_curve = InterfaceCurve(
-            grid256, curve.z1 + dt_probe * u, curve.z2 + dt_probe * v, validate=False
-        )
-        probe_omega = VorticityStrength(grid256, omega.omega + dt_probe * rate, validate=False)
-        up, vp = pv_all_nodes(probe_curve, probe_omega)
-        d1xp, d1yp = probe_curve.d1
-        bp = up * d1xp + vp * d1yp
-        from contourdyn.geometry import fd_derivative
-        from contourdyn.waterwaves import bracket_term as bt
-
-        explicit = -fd_derivative(bt(state, params), grid256.spacing, 1)
-        resub = explicit + 2.0 * params.atwood * (bp - b0) / dt_probe
+        state = WaveState(bump_curve(grid256, 0.05), gaussian_strength(grid256, amplitude=0.1))
+        curve, op = state.curve, state.operator
+        rate = omega_rhs(state, params, tol=1e-12)
+        explicit = -fd_derivative(bracket_term(state, params), grid256.spacing, 1)
+        moving = tangential_velocity_rate(curve, state.omega.omega, state.velocity, op)
+        gain = 2.0 * params.atwood
+        resub = explicit + gain * (moving + tangential_velocity(curve, rate, op))
         assert np.max(np.abs(resub - rate)) <= 1e-10
+
+
+class TestTangentialVelocityRate:
+    @pytest.mark.parametrize("amplitude, omega_amp", [(0.1, 0.3), (-0.4, 0.8)])
+    def test_matches_centred_difference(self, grid256, amplitude, omega_amp):
+        # d/dt of V . T as the nodes move with the velocity at fixed omega:
+        # a centred difference over node_operator(z +/- eps zdot) converges at eps^2
+        curve = bump_curve(grid256, amplitude, z1_amp=0.1)
+        omega = gaussian_strength(grid256, amplitude=omega_amp, center=0.4)
+        op = node_operator(curve)
+        u, v = pv_all_nodes(curve, omega, op)
+        exact = tangential_velocity_rate(curve, omega.omega, (u, v), op)
+        errors = []
+        for eps in (1e-2, 1e-3):
+            moved = [
+                InterfaceCurve(grid256, curve.z1 + s * eps * u, curve.z2 + s * eps * v, validate=False)
+                for s in (1.0, -1.0)
+            ]
+            plus, minus = (tangential_velocity(c, omega.omega, node_operator(c)) for c in moved)
+            errors.append(np.max(np.abs((plus - minus) / (2.0 * eps) - exact)) / np.max(np.abs(exact)))
+        assert errors[1] <= 1e-8
+        assert errors[0] / errors[1] >= 50.0  # second order: 100x per decade
+
+    def test_zero_velocity_or_strength(self, grid256):
+        curve = bump_curve(grid256, 0.2)
+        omega = gaussian_strength(grid256, amplitude=0.5)
+        op = node_operator(curve)
+        zero = np.zeros(grid256.node_count)
+        assert np.all(tangential_velocity_rate(curve, omega.omega, (zero, zero), op) == 0.0)
+        u, v = pv_all_nodes(curve, omega, op)
+        assert np.all(tangential_velocity_rate(curve, zero, (u, v), op) == 0.0)
