@@ -31,9 +31,22 @@ import numpy as np
 
 from . import muskat, waterwaves
 from .analysis import BLOWUP_CAP, CHORD_ARC_CAP, DepthDiagnostics, depth_rate
-from .errors import BottomContact, ContourError, NoConvergence, StabilityFailure
-from .geometry import FloatArray, Grid, InterfaceCurve, Model, PhysicalParams
-from .geometry import far_field_mask, holder_norms, min_depth
+from .errors import (
+    BottomContact,
+    ContourError,
+    NoConvergence,
+    StabilityFailure,
+)
+from .geometry import (
+    FloatArray,
+    Grid,
+    InterfaceCurve,
+    Model,
+    PhysicalParams,
+    far_field_mask,
+    holder_norms,
+    min_depth,
+)
 from .kernels import VorticityStrength, node_operator, pv_all_nodes
 
 logger = logging.getLogger(__name__)
@@ -113,18 +126,18 @@ class RunSummary:
 def _stage_field(curve: InterfaceCurve, y: FloatArray, config: SimConfig, mask: FloatArray):
     """(omega, masked field) of one stage curve; ``y`` carries a wave state's omega.
 
-    The wave rate and a contrast's Picard solve hold the curve's operator, and
-    the velocity is one more apply of it; else the velocity is one fused pass.
+    The wave rate (A != 0) and a contrast's Picard solve hold the curve's
+    operator, and the velocity is one more apply of it; else the velocity is
+    one fused pass.
     """
     params = config.params
-    waves = config.model is Model.WATER_WAVES
-    operator = node_operator(curve) if waves or not muskat.equal_viscosity(params) else None
-    if waves:
+    if config.model is Model.WATER_WAVES:
         omega = VorticityStrength(config.grid, y[2], validate=False)
-        state = waterwaves.WaveState(curve, omega, operator)
-        u, v = state.velocity
+        state = waterwaves.WaveState(curve, omega)
         rate = waterwaves.omega_rhs(state, params)
+        u, v = state.velocity
         return omega, np.stack((mask * u, mask * v, mask * rate))
+    operator = None if muskat.equal_viscosity(params) else node_operator(curve)
     omega = muskat.solve_vorticity(curve, params, operator)
     u, v = pv_all_nodes(curve, omega, operator)
     return omega, np.stack((mask * u, mask * v))

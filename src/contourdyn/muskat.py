@@ -27,7 +27,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import (
-    FloatArray, InterfaceCurve, Model, PhysicalParams, curvature, far_field_mask, fd_derivative,
+    FloatArray,
+    InterfaceCurve,
+    Model,
+    PhysicalParams,
+    curvature,
+    far_field_mask,
+    fd_derivative,
 )
 from .kernels import FIXED_POINT_TOL, VorticityStrength, node_operator, solve_tangential
 

@@ -31,9 +31,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import FloatArray, InterfaceCurve, Model, PhysicalParams, curvature, fd_derivative
+from .geometry import (
+    FloatArray,
+    InterfaceCurve,
+    Model,
+    PhysicalParams,
+    curvature,
+    fd_derivative,
+)
 from .kernels import (
-    FIXED_POINT_TOL, VorticityStrength, node_operator, pv_all_nodes, solve_tangential,
+    FIXED_POINT_TOL,
+    VorticityStrength,
+    node_operator,
+    pv_all_nodes,
+    solve_tangential,
     tangential_velocity_rate,
 )
 
@@ -44,22 +55,27 @@ MAX_IMPLICIT_ITER = 50
 
 @dataclass(frozen=True)
 class WaveState:
-    """Curve, sheet strength and the curve's node_operator, built unless given."""
+    """Curve and sheet strength of the wave system."""
 
     curve: InterfaceCurve
     omega: VorticityStrength
-    operator: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.curve.grid != self.omega.grid:
             raise ValidationError("curve and omega must share the same grid")
-        if self.operator is None:
-            object.__setattr__(self, "operator", node_operator(self.curve))
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """The curve's node_operator, held by the implicit rate."""
+        return node_operator(self.curve)
 
     @cached_property
     def velocity(self) -> tuple[FloatArray, FloatArray]:
-        """Principal-value velocity (u, v) at every node."""
-        return pv_all_nodes(self.curve, self.omega, self.operator)
+        """Principal-value velocity (u, v) at every node, once per state.
+
+        One apply of the operator if the state already holds it, else one fused pass.
+        """
+        return pv_all_nodes(self.curve, self.omega, vars(self).get("operator"))
 
 
 def _require_waves(params: PhysicalParams) -> None:
@@ -71,25 +87,34 @@ def bracket_term(state: WaveState, params: PhysicalParams) -> FloatArray:
     """The quantity differentiated in the transport part of the omega equation."""
     _require_waves(params)
     curve, omega = state.curve, state.omega
+    a = params.atwood
     u, v = state.velocity
-    kinetic = u * u + v * v - 0.25 * omega.omega**2 / curve.speed_squared
-    bracket = params.atwood * (kinetic - 2.0 * params.g * curve.z2)
+    rho_total = params.rho_plus + params.rho_minus
+    bracket = (
+        a * (u * u + v * v)
+        - 0.25 * a * omega.omega**2 / curve.speed_squared
+        - 2.0 * a * params.g * curve.z2
+    )
     if params.gamma != 0.0:
-        bracket -= 2.0 * params.gamma * curvature(curve) / (params.rho_plus + params.rho_minus)
+        bracket = bracket - 2.0 * params.gamma * curvature(curve) / rho_total
     return bracket
 
 
 def omega_rhs(state: WaveState, params: PhysicalParams, tol: float = FIXED_POINT_TOL) -> FloatArray:
-    """Time derivative of the sheet strength, implicit term resolved on the state's operator."""
+    """Time derivative of the sheet strength, implicit term resolved on the state's operator.
+
+    Unless A = 0 the state's operator is built first, so its velocity is an apply of it.
+    """
     _require_waves(params)
     curve, omega = state.curve, state.omega
     a = params.atwood
+    operator = None if a == 0.0 else state.operator
     explicit = -fd_derivative(bracket_term(state, params), curve.grid.spacing, 1, edge_value=0.0)
     if a == 0.0:
         return explicit
-    moving = tangential_velocity_rate(curve, omega.omega, state.velocity, state.operator)
+    moving = tangential_velocity_rate(curve, omega.omega, state.velocity, operator)
     rate, iterations = solve_tangential(
-        curve, state.operator, explicit + 2.0 * a * moving, 2.0 * a,
+        curve, operator, explicit + 2.0 * a * moving, 2.0 * a,
         tol=tol, max_iter=MAX_IMPLICIT_ITER, what="implicit omega-rate iteration",
     )
     logger.debug("implicit omega rate converged in %d iterations", iterations)

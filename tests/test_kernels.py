@@ -301,6 +301,8 @@ class TestOneOperator:
             pytest.param("stable_relaxation.cfg", {}, 128, 4, 0, id="equal"),
             pytest.param("stable_relaxation.cfg", CONTRAST, 128, 0, 5, id="contrast"),
             pytest.param("internal_wave.cfg", {}, 128, 0, 4, id="waves"),
+            # equal densities (A = 0): no implicit term, so no operator is held
+            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 128, 4, 0, id="waves-equal"),
             # from SPLIT_NODES on each pass runs as two halves, still one pass
             pytest.param("stable_relaxation.cfg", {}, 1024, 4, 0, id="equal-split"),
             pytest.param("stable_relaxation.cfg", CONTRAST, 1024, 0, 5, id="contrast-split"),
@@ -310,7 +312,7 @@ class TestOneOperator:
         # one pair pass per distinct curve: a fused pass for each RK stage's
         # one-shot velocity; an operator for each repeatedly applied curve,
         # the stage and accepted curves' Picard solves (contrast) or each
-        # stage's implicit rate and velocity (waves)
+        # stage's implicit rate and velocity (waves, A != 0)
         parsed = with_grid(parse_config(str(CONFIGS / config)), n)
         if physics:
             params = dataclasses.replace(parsed.sim.params, **physics)
