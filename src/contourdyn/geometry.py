@@ -11,7 +11,11 @@ All operations here are pure functions of immutable samples; derived arrays are
 cached on the owning object and are safe to share across threads.  The one
 O(N^2) pass, chord_arc_constant, reads the node pairs at parameter offset k as
 row k of one shifted view of the samples and differences a block of rows at a
-time into two reused buffers, so its memory stays O(block N) at any N.
+time into two reused buffers, so its memory stays O(block N) at any N.  It
+walks the offsets in increasing blocks and stops once a bound shows that no
+later offset can beat its running maximum by more than a relative 1e-12: a
+chord at offset k is at least k h minus the spread of z1 - alpha, so a graph
+z1 = alpha at N <= 2048 stops after the first block.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ ARC_FLOOR = 1e-8
 COLLISION_TOL = 1e-10
 # Parameter offsets per block of the chord-arc pass.
 CHORD_ARC_BLOCK = 32
+# The chord-arc pass's early stop: the relative slack of its bound on the
+# squared ratio, and the rounding allowance of its bound on the chords, in
+# units of (L + max |z1 - alpha|).
+CHORD_ARC_SLACK = 1e-12
+CHORD_ARC_ROUNDING = 16.0 * np.finfo(np.float64).eps
 
 FloatArray = np.ndarray
 
@@ -308,18 +317,38 @@ def chord_arc_constant(curve: InterfaceCurve) -> float:
     Every pair at offset k is k h apart in alpha, so only the shortest chord
     per offset matters.  Row k of one shifted view of the samples is the node
     sequence shifted by k; CHORD_ARC_BLOCK rows at a time are differenced
-    against the nodes into two reused buffers, in O(block N) memory.  Raises
-    SelfIntersection if any pair of distinct nodes is closer than
-    COLLISION_TOL, naming the shortest offset of the first block with one.
+    against the nodes into two reused buffers, in O(block N) memory.
+
+    The offsets run in increasing blocks, and the pass stops once no later
+    offset can beat the running maximum.  Every chord at offset k is at least
+    |dz1| >= k h - osc, where osc is the spread (max - min) of z1 - alpha plus
+    a rounding allowance of CHORD_ARC_ROUNDING (L + max |z1 - alpha|) for the
+    grid and the pass; so K / (K h - osc) bounds the ratio at every offset from
+    K on, and it falls as K grows.  After each block the pass stops when, at
+    the next offset K, K h - osc > COLLISION_TOL (no skipped pair can
+    collide) and the squared bound is at most the running maximum times
+    1 + CHORD_ARC_SLACK.  The slack lets exact ties stop, as on the flat
+    stretches of a graph z1 = alpha, where every offset's ratio is 1 / h up to
+    rounding; the result can differ from the full pass's only if a skipped
+    offset lies within it of the maximum, by at most CHORD_ARC_SLACK / 2
+    relative.
+
+    Raises SelfIntersection if any pair of distinct nodes is closer than
+    COLLISION_TOL, naming the closest pair at the shortest offset of the
+    first block with one, as the full pass does; that block ends the pass.
     """
     z1, z2 = curve.z1, curve.z2
-    n = z1.size
+    n, h = z1.size, curve.grid.spacing
+    drift = z1 - curve.grid.alpha
+    osc = float(np.ptp(drift)) + CHORD_ARC_ROUNDING * (
+        curve.grid.half_width + float(np.max(np.abs(drift)))
+    )
     # Nodes past the end sit at infinity: their chords never win or collide.
     far = np.full(n, np.inf)
     shifted1 = sliding_window_view(np.concatenate((z1, far)), n)
     shifted2 = sliding_window_view(np.concatenate((z2, far)), n)
     buf1, buf2 = np.empty(CHORD_ARC_BLOCK * n), np.empty(CHORD_ARC_BLOCK * n)
-    shortest = np.full(n, np.inf)  # least squared chord per offset
+    worst = 0.0  # largest squared offset over squared chord so far
     for k0 in range(1, n, CHORD_ARC_BLOCK):
         rows, m = min(CHORD_ARC_BLOCK, n - k0), n - k0
         # row r holds the squared chords of the pairs (i, i + k0 + r), i < m
@@ -329,20 +358,21 @@ def chord_arc_constant(curve: InterfaceCurve) -> float:
         d2 *= d2
         dy *= dy
         d2 += dy
-        np.min(d2, axis=1, out=shortest[k0:k0 + rows])
-    colliding = shortest < COLLISION_TOL * COLLISION_TOL
-    if colliding.any():
-        first = int(np.argmax(colliding))
-        k0 = first - (first - 1) % CHORD_ARC_BLOCK
-        k = k0 + int(np.argmin(shortest[k0:k0 + CHORD_ARC_BLOCK]))
-        dx, dy = z1[k:] - z1[: n - k], z2[k:] - z2[: n - k]
-        d2 = dx * dx + dy * dy
-        i = int(np.argmin(d2))
-        raise SelfIntersection(
-            f"nodes {i} and {i + k} are {np.sqrt(d2[i]):.3e} apart (< {COLLISION_TOL:.1e})"
-        )
-    offsets = np.arange(n, dtype=np.float64)
-    return curve.grid.spacing * float(np.sqrt(np.max(offsets * offsets / shortest)))
+        shortest = d2.min(axis=1)
+        r = int(np.argmin(shortest))
+        if shortest[r] < COLLISION_TOL * COLLISION_TOL:
+            i = int(np.argmin(d2[r]))
+            raise SelfIntersection(
+                f"nodes {i} and {i + k0 + r} are {np.sqrt(d2[r, i]):.3e} apart "
+                f"(< {COLLISION_TOL:.1e})"
+            )
+        offsets = np.arange(k0, k0 + rows, dtype=np.float64)
+        worst = float(np.maximum(worst, np.max(offsets * offsets / shortest)))  # keeps a NaN
+        k = k0 + rows  # the next offset
+        gap = k * h - osc
+        if gap > COLLISION_TOL and (k / gap) ** 2 <= worst * (1.0 + CHORD_ARC_SLACK):
+            break
+    return h * float(np.sqrt(worst))
 
 
 class MinDepth(NamedTuple):

@@ -27,9 +27,11 @@ without it the omitted node costs one full order of accuracy.  The rule is
 second order on C^2 data; beyond the grid the integrand is dropped, which the
 far-field decay of omega justifies.
 
-pv_all_nodes is one fused pass: it walks the source nodes a block of rows at a
-time through two reused buffers, for t - z and t - zbar, and reduces each
-block at once against the density omega w z2 / pi; its memory is O(block N).
+punctured_sums, the velocity u - iv at every node before pv_all_nodes adds
+the diagonal limit, is one fused pass: it walks the source nodes a block of
+rows at a time through two reused buffers, for t - z and t - zbar, and
+reduces each block at once against the density omega w z2 / pi; its memory
+is O(block N).
 A block has max(OPERATOR_BLOCK, BLOCK_PAIRS // N) rows, which depends on N
 alone, so a split pass and a one-thread pass walk the same blocks.  A closure
 that applies one curve's operator more than once (the Picard solve, the wave
@@ -38,7 +40,8 @@ an apply meets the same density, its scale formed once per curve.  Both
 closures iterate in solve_tangential on V . dz/dalpha, where the limit's f'
 term drops (it is imaginary once multiplied by z'): tangential_velocity is one
 apply plus O(N) work.  tangential_velocity_rate, the wave rate's shape
-derivative, reads the same rows and their squares.  pair_passes counts both
+derivative, reads the same rows and their squares, and the punctured sums
+that gave the stage's velocity.  pair_passes counts both
 kinds of pass, process-wide.
 
 From SPLIT_NODES nodes on, the calling thread runs the lower half of the
@@ -269,14 +272,13 @@ def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int
     return Velocity2(float(w.real), float(-w.imag))
 
 
-def pv_all_nodes(
+def punctured_sums(
     curve: InterfaceCurve, omega: VorticityStrength, operator: np.ndarray | None = None
-) -> tuple[FloatArray, FloatArray]:
-    """Principal-value velocity (u, v) at every node.
+) -> np.ndarray:
+    """a R summed over the sources at every node, a = omega w z2 / pi: u - iv without the limit.
 
     One fused O(N^2) pass, unless ``operator``, the curve's node_operator held
-    by a solve that applies it repeatedly, is given; either way the rows meet
-    the density omega w z2 / pi.
+    by a solve that applies it repeatedly, is given.
     """
     _require_shared_grid(curve, omega)
     curve.require_resolved()
@@ -290,8 +292,22 @@ def pv_all_nodes(
         _pair_pass(curve, "fused", reduce)
     else:
         far = _apply(operator, density)
+    return far
+
+
+def pv_from_sums(
+    curve: InterfaceCurve, omega: VorticityStrength, far: np.ndarray
+) -> tuple[FloatArray, FloatArray]:
+    """Principal-value velocity (u, v) at every node, given its punctured_sums ``far``."""
     w = _conjugate_pv(curve, omega, far, slice(None))
     return w.real, -w.imag
+
+
+def pv_all_nodes(
+    curve: InterfaceCurve, omega: VorticityStrength, operator: np.ndarray | None = None
+) -> tuple[FloatArray, FloatArray]:
+    """Principal-value velocity (u, v) at every node: pv_from_sums of punctured_sums."""
+    return pv_from_sums(curve, omega, punctured_sums(curve, omega, operator))
 
 
 def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.ndarray):
@@ -306,11 +322,12 @@ def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.n
 
 
 def tangential_velocity_rate(
-    curve: InterfaceCurve, omega: FloatArray, velocity, operator: np.ndarray
+    curve: InterfaceCurve, omega: FloatArray, velocity, far: np.ndarray, operator: np.ndarray
 ) -> FloatArray:
     """d/dt of tangential_velocity as the nodes move with velocity (u, v), omega fixed.
 
-    With a = omega sheet_scale and zdot = u + iv, a moves by omega w v / pi
+    With a = omega sheet_scale and zdot = u + iv, ``far`` is a R, the
+    punctured_sums that gave the velocity.  a moves by omega w v / pi
     (one apply of the held rows R) and each off-diagonal R_kj by -2 R_kj^2
     [zdot_j (z_j - x_k) - z_j u_k + x_k u_k + y_k v_k]: (a, a x, a u, a (u x + v y))
     against R o R, squared a block of rows at a time into one reused buffer.
@@ -320,7 +337,7 @@ def tangential_velocity_rate(
     u, v = velocity
     x, y, z, w = curve.z1, curve.z2, curve.z, curve.grid.trapezoid_weights
     a = omega * curve.sheet_scale
-    far, moved = _apply(operator, np.stack((a, omega * w * v / np.pi)))
+    moved = _apply(operator, omega * w * v / np.pi)
     weights = np.stack((a, a * x, a * u, a * (u * x + v * y)))
     height, blocks = _blocks(curve.grid.node_count)
     squares = np.empty((height, curve.grid.node_count), dtype=np.complex128)

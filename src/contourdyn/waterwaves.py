@@ -16,7 +16,8 @@ moving the nodes at fixed omega.  Each evaluation solves
     (I - 2A T.K) omega_t = explicit + 2A d_zdot(V . T)[omega]
 
 on the stage curve's held operator: the shape derivative in closed form from
-the operator's rows (kernels.tangential_velocity_rate), then the fixed-point
+the operator's rows and the state's punctured sums, which also gave its
+velocity (kernels.tangential_velocity_rate), then the fixed-point
 loop of kernels.solve_tangential, one apply per iteration; the vortex-sheet
 form of Baker, Meiron and Orszag (JFM 123, 1982).  The rate depends on no
 step size, so RK4 stays fourth order in time.
@@ -43,7 +44,8 @@ from .kernels import (
     FIXED_POINT_TOL,
     VorticityStrength,
     node_operator,
-    pv_all_nodes,
+    punctured_sums,
+    pv_from_sums,
     solve_tangential,
     tangential_velocity_rate,
 )
@@ -70,12 +72,17 @@ class WaveState:
         return node_operator(self.curve)
 
     @cached_property
-    def velocity(self) -> tuple[FloatArray, FloatArray]:
-        """Principal-value velocity (u, v) at every node, once per state.
+    def far(self) -> np.ndarray:
+        """The punctured_sums at every node, once per state; the velocity and the rate read them.
 
         One apply of the operator if the state already holds it, else one fused pass.
         """
-        return pv_all_nodes(self.curve, self.omega, vars(self).get("operator"))
+        return punctured_sums(self.curve, self.omega, vars(self).get("operator"))
+
+    @cached_property
+    def velocity(self) -> tuple[FloatArray, FloatArray]:
+        """Principal-value velocity (u, v) at every node, from far."""
+        return pv_from_sums(self.curve, self.omega, self.far)
 
 
 def _require_waves(params: PhysicalParams) -> None:
@@ -112,7 +119,7 @@ def omega_rhs(state: WaveState, params: PhysicalParams, tol: float = FIXED_POINT
     explicit = -fd_derivative(bracket_term(state, params), curve.grid.spacing, 1, edge_value=0.0)
     if a == 0.0:
         return explicit
-    moving = tangential_velocity_rate(curve, omega.omega, state.velocity, operator)
+    moving = tangential_velocity_rate(curve, omega.omega, state.velocity, state.far, operator)
     rate, iterations = solve_tangential(
         curve, operator, explicit + 2.0 * a * moving, 2.0 * a,
         tol=tol, max_iter=MAX_IMPLICIT_ITER, what="implicit omega-rate iteration",

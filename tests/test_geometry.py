@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contourdyn import geometry
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import SelfIntersection, ValidationError
@@ -334,6 +335,64 @@ class TestChordArc:
         assert chord_arc_outcome(chord_arc_constant, curve) == chord_arc_outcome(
             blocked_chord_arc, curve
         )
+
+    @staticmethod
+    def tie_curves(g: Grid):
+        """Graphs of z1 = alpha, where flat stretches tie at every offset, and small z1 wiggles."""
+        a = g.alpha
+        w = plateau_window(a, 0.25 * g.half_width, 0.25 * g.half_width)
+        flat = np.ones(g.node_count)
+        yield a, flat
+        for amplitude in (0.3, -0.5):
+            yield a, 1.0 + amplitude * np.cos(a) * w
+        for delta in (0.5, 0.05):
+            yield a, 1.0 - (1.0 - delta) * w
+        for s in (1e-9, 1e-6, 1e-3):
+            yield a + s * w * np.sin(a), flat
+            yield a + s * w * np.sin(a), 1.0 + 0.3 * np.cos(a) * w
+
+    @pytest.mark.parametrize("half_width", [7.3, 13.0, 5.0 * np.pi])
+    @pytest.mark.parametrize("n", [130, 1000, 2000])
+    def test_bitwise_equal_to_blocked_oracle_on_ties(self, n, half_width):
+        # alpha is not exact in binary on these grids, so tied offsets differ
+        # in the last bits and the early stop's slack decides
+        g = Grid(half_width, n)
+        for z1, z2 in self.tie_curves(g):
+            curve = InterfaceCurve(g, z1, z2, validate=False)
+            assert chord_arc_constant(curve) == blocked_chord_arc(curve)
+
+    @staticmethod
+    def offsets_read(monkeypatch, curve: InterfaceCurve) -> int:
+        """One past the largest parameter offset chord_arc_constant differences on ``curve``."""
+        stops = []
+        view = geometry.sliding_window_view
+
+        class Recording(np.ndarray):
+            def __getitem__(self, key):
+                stops.append(key[0].stop)
+                return np.asarray(self)[key]
+
+        monkeypatch.setattr(geometry, "sliding_window_view", lambda *a: view(*a).view(Recording))
+        value = chord_arc_constant(curve)
+        monkeypatch.undo()
+        assert value == blocked_chord_arc(curve)
+        return max(stops)
+
+    def test_pinch_stops_after_one_block(self, monkeypatch):
+        parsed = with_grid(parse_config(str(CONFIGS / "unstable_pinch.cfg")), 2048)
+        curve = initial_state(parsed).curve
+        assert self.offsets_read(monkeypatch, curve) == 1 + CHORD_ARC_BLOCK
+
+    def test_stepped_relaxation_stops_early(self, monkeypatch):
+        parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), 2048)
+        curve = step(initial_state(parsed), parsed.sim).curve
+        assert self.offsets_read(monkeypatch, curve) <= 2048 // 16
+
+    @pytest.mark.parametrize("coordinate", [0, 1], ids=["z1", "z2"])
+    def test_nan_sample_gives_nan(self, grid256, coordinate):
+        samples = [grid256.alpha.copy(), np.ones(grid256.node_count)]
+        samples[coordinate][100] = np.nan
+        assert np.isnan(chord_arc_constant(InterfaceCurve(grid256, *samples, validate=False)))
 
     def test_collision_report_names_the_oracles_pair(self):
         # colliding offsets b0 + 8 and b0 + 18 share the block starting at b0,

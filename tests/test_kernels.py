@@ -384,8 +384,9 @@ class TestOneOperator:
             pv_all_nodes(curve, omega, kernels.node_operator(curve))
             kernels.tangential_velocity(curve, omega.omega, kernels.node_operator(curve))
             op = kernels.node_operator(curve)
-            velocity = pv_all_nodes(curve, omega, op)
-            kernels.tangential_velocity_rate(curve, omega.omega, velocity, op)
+            far = kernels.punctured_sums(curve, omega, op)
+            velocity = kernels.pv_from_sums(curve, omega, far)
+            kernels.tangential_velocity_rate(curve, omega.omega, velocity, far, op)
             pv_boundary_integral(curve, omega, 128)
             plemelj_velocity(curve, omega, 100, "plus")
             velocity_at_point(curve, omega, (0.5, 3.0))
