@@ -10,11 +10,10 @@ The mask pins the decay bands to the exact flat state, which is the truncated
 domain's far-field closure; the suppressed motion is the O(1/distance^2) tail
 the truncation drops anyway.  Classical RK4 does the stepping; for Muskat the
 sheet strength is re-solved from the curve at every stage, for water waves the
-pair (z, omega) advances jointly.  A stage builds the stage curve's operator
-when the closure needs one (a viscosity contrast's Picard solve, the wave
-rate), solves the closure and takes the velocity from that operator.  A
-contrast's acceptance solve holds the accepted curve's operator, so it also
-gives that state's field, which the next step takes as its k1.
+pair (z, omega) advances jointly.  A stage builds its curve's operator when the
+closure is implicit (a viscosity contrast's Picard solve, the wave rate), solves
+it from the previous stage's solution and takes the velocity from the operator.
+A contrast's acceptance solve also gives that state's field: the next k1.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -123,27 +122,27 @@ class RunSummary:
     message: str = ""
 
 
-def _stage_field(curve: InterfaceCurve, y: FloatArray, config: SimConfig, mask: FloatArray):
-    """(omega, masked field) of one stage curve; ``y`` carries a wave state's omega.
+def _stage_field(curve: InterfaceCurve, y: FloatArray, config: SimConfig, mask: FloatArray, guess):
+    """(closure x, masked field) of one stage curve; ``y`` carries a wave state's omega.
 
-    The wave rate (A != 0) and a contrast's Picard solve hold the curve's
-    operator, and the velocity is one more apply of it; else the velocity is
-    one fused pass.
+    x is Muskat's omega or the unmasked wave rate, iterated from ``guess``.  The
+    wave rate (A != 0) and a contrast's Picard solve hold the curve's operator,
+    and the velocity is one more apply of it; else it is one fused pass.
     """
     params = config.params
     if config.model is Model.WATER_WAVES:
         omega = VorticityStrength(config.grid, y[2], validate=False)
         state = waterwaves.WaveState(curve, omega)
-        rate = waterwaves.omega_rhs(state, params)
+        rate = waterwaves.omega_rhs(state, params, guess=guess)
         u, v = state.velocity
-        return omega, np.stack((mask * u, mask * v, mask * rate))
+        return rate, np.stack((mask * u, mask * v, mask * rate))
     operator = None if muskat.equal_viscosity(params) else node_operator(curve)
-    omega = muskat.solve_vorticity(curve, params, operator)
+    omega = muskat.solve_vorticity(curve, params, operator, guess)
     u, v = pv_all_nodes(curve, omega, operator)
-    return omega, np.stack((mask * u, mask * v))
+    return omega.omega, np.stack((mask * u, mask * v))
 
 
-def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
+def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatArray) -> SimState:
     """Validity checks on a proposed step; returns the accepted state."""
     if not np.all(np.isfinite(y)):
         raise StabilityFailure(t_new, "state", float("nan"))
@@ -162,28 +161,36 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig) -> SimState:
     if muskat.equal_viscosity(config.params):  # here the field would cost one more pass
         return SimState(curve, muskat.solve_vorticity_equal(curve, config.params), t_new)
     # the contrast solve holds the operator: one more apply gives the next step's k1
-    omega, field = _stage_field(curve, y, config, far_field_mask(config.grid))
-    return SimState(curve, omega, t_new, field, config)
+    omega, field = _stage_field(curve, y, config, far_field_mask(config.grid), guess)
+    return SimState(curve, VorticityStrength(config.grid, omega), t_new, field, config)
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
-    """One classical RK4 step of the masked system, with post-step checks."""
+    """One classical RK4 step of the masked system, with post-step checks.
+
+    A stage's closure iterates from stage i-1's x, stage 4's from 2 x3 - x1 (linear
+    in stage time), the acceptance's from x4.  A contrast state accepted under
+    ``config`` holds its x1, so k1 solves nothing; the wave k1 starts cold.
+    """
     dt = config.dt if dt is None else float(dt)
     mask = far_field_mask(config.grid)
     waves = config.model is Model.WATER_WAVES
     y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
 
-    def field(y: FloatArray) -> FloatArray:
+    def stage(y: FloatArray, guess: FloatArray | None):
         curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-        return _stage_field(curve, y, config, mask)[1]
+        return _stage_field(curve, y, config, mask, guess)
 
-    reuse = state.field is not None and state.accepted_under == config
-    k1 = state.field if reuse else field(y0)
-    k2 = field(y0 + 0.5 * dt * k1)
-    k3 = field(y0 + 0.5 * dt * k2)
-    k4 = field(y0 + dt * k3)
+    x1, k1 = state.omega.omega, state.field
+    if state.accepted_under != config:
+        x1, k1 = stage(y0, None if waves else x1)
+    elif k1 is None:  # the velocity on the held operator: a re-solve would move the result
+        k1 = mask * np.stack(pv_all_nodes(state.curve, state.omega, node_operator(state.curve)))
+    x2, k2 = stage(y0 + 0.5 * dt * k1, x1)
+    x3, k3 = stage(y0 + 0.5 * dt * k2, x2)
+    x4, k4 = stage(y0 + dt * k3, 2.0 * x3 - x1)
     y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _check_accept(y1, state.t + dt, config)
+    return _check_accept(y1, state.t + dt, config, x4)
 
 
 def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] = ()) -> RunSummary:

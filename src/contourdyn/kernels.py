@@ -356,14 +356,19 @@ def tangential_velocity_rate(
     return (moved * dz + far * dzdot).real + w * turning * omega / (4.0 * np.pi)
 
 
-def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, max_iter, what):
-    """x = weight (rhs + gain V(x) . dz/dalpha) by fixed-point iteration from weight * rhs.
+def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, max_iter, what, guess=None):
+    """x = weight (rhs + gain V(x) . dz/dalpha) by fixed-point iteration from ``guess``.
 
-    One tangential_velocity apply of the held operator and O(N) work per
-    iteration, until successive iterates agree to tol in the sup norm.
-    Returns x and the iteration count; NoConvergence after max_iter.
+    ``guess`` defaults to weight * rhs.  One tangential_velocity apply of the
+    held operator and O(N) work per iteration, until successive iterates agree
+    to tol in the sup norm.  Returns x and the iteration count; NoConvergence
+    after max_iter.
     """
-    x, diff = weight * rhs, np.inf
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tol}")
+    if guess is not None and not (np.shape(guess) == np.shape(rhs) and np.all(np.isfinite(guess))):
+        raise ValidationError(f"guess must be finite, of the shape {np.shape(rhs)} of rhs")
+    x, diff = weight * rhs if guess is None else guess, np.inf
     for iteration in range(1, max_iter + 1):
         new = weight * (rhs + gain * tangential_velocity(curve, x, operator))
         diff, x = float(np.max(np.abs(new - x))), new

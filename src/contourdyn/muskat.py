@@ -85,24 +85,23 @@ def solve_vorticity_general(
     params: PhysicalParams,
     tol: float = FIXED_POINT_TOL,
     operator: np.ndarray | None = None,
+    guess: FloatArray | None = None,
 ) -> VorticityStrength:
     """Picard solve of the viscosity-contrast integral equation.
 
-    Starts from the equal-viscosity formula with the mean viscosity and
-    iterates the fixed-point map, one apply of ``operator`` (the curve's
-    node_operator, built here if not given) each, until successive sup-norm
-    change <= tol.  NoConvergence after PICARD_MAX_ITER iterations signals an
-    under-resolved or extreme-contrast configuration rather than a bug.
-    The iteration count is attached to the result as ``.iterations``.
+    Starts from ``guess`` (a nearby curve's strength) or else the equal-viscosity
+    formula with the mean viscosity, and iterates the fixed-point map, one apply
+    of ``operator`` (the curve's node_operator, built here if not given) each,
+    until successive sup-norm change <= tol.  NoConvergence after PICARD_MAX_ITER
+    iterations signals an under-resolved or extreme-contrast configuration
+    rather than a bug.  The iteration count is attached as ``.iterations``.
     """
     _require_muskat(params)
-    if tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
     operator = node_operator(curve) if operator is None else operator
     weight = far_field_mask(curve.grid) / params.viscosity_mean
     omega_arr, iterations = solve_tangential(
         curve, operator, vorticity_rhs(curve, params), params.viscosity_jump, weight,
-        tol=tol, max_iter=PICARD_MAX_ITER, what="viscosity-contrast Picard iteration",
+        tol=tol, max_iter=PICARD_MAX_ITER, what="viscosity-contrast Picard iteration", guess=guess,
     )
     result = VorticityStrength(curve.grid, omega_arr)
     result.iterations = iterations
@@ -110,9 +109,9 @@ def solve_vorticity_general(
 
 
 def solve_vorticity(
-    curve: InterfaceCurve, params: PhysicalParams, operator: np.ndarray | None = None
+    curve: InterfaceCurve, params: PhysicalParams, operator: np.ndarray | None = None, guess=None
 ) -> VorticityStrength:
-    """Strength from the closure: explicit for equal viscosities, Picard otherwise."""
+    """Strength from the closure: explicit for equal viscosities, else Picard from ``guess``."""
     if equal_viscosity(params):
         return solve_vorticity_equal(curve, params)
-    return solve_vorticity_general(curve, params, operator=operator)
+    return solve_vorticity_general(curve, params, operator=operator, guess=guess)

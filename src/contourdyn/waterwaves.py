@@ -17,10 +17,10 @@ moving the nodes at fixed omega.  Each evaluation solves
 
 on the stage curve's held operator: the shape derivative in closed form from
 the operator's rows and the state's punctured sums, which also gave its
-velocity (kernels.tangential_velocity_rate), then the fixed-point
-loop of kernels.solve_tangential, one apply per iteration; the vortex-sheet
-form of Baker, Meiron and Orszag (JFM 123, 1982).  The rate depends on no
-step size, so RK4 stays fourth order in time.
+velocity (kernels.tangential_velocity_rate), then the fixed-point loop of
+kernels.solve_tangential, one apply per iteration, from the previous RK
+stage's rate; the vortex-sheet form of Baker, Meiron and Orszag (JFM 123,
+1982).  The rate depends on no step size, so RK4 stays fourth order in time.
 """
 
 from __future__ import annotations
@@ -107,10 +107,13 @@ def bracket_term(state: WaveState, params: PhysicalParams) -> FloatArray:
     return bracket
 
 
-def omega_rhs(state: WaveState, params: PhysicalParams, tol: float = FIXED_POINT_TOL) -> FloatArray:
+def omega_rhs(
+    state: WaveState, params: PhysicalParams, tol: float = FIXED_POINT_TOL, guess=None
+) -> FloatArray:
     """Time derivative of the sheet strength, implicit term resolved on the state's operator.
 
     Unless A = 0 the state's operator is built first, so its velocity is an apply of it.
+    The implicit iteration starts from ``guess`` (a nearby state's rate) or its right side.
     """
     _require_waves(params)
     curve, omega = state.curve, state.omega
@@ -122,7 +125,7 @@ def omega_rhs(state: WaveState, params: PhysicalParams, tol: float = FIXED_POINT
     moving = tangential_velocity_rate(curve, omega.omega, state.velocity, state.far, operator)
     rate, iterations = solve_tangential(
         curve, operator, explicit + 2.0 * a * moving, 2.0 * a,
-        tol=tol, max_iter=MAX_IMPLICIT_ITER, what="implicit omega-rate iteration",
+        tol=tol, max_iter=MAX_IMPLICIT_ITER, what="implicit omega-rate iteration", guess=guess,
     )
     logger.debug("implicit omega rate converged in %d iterations", iterations)
     return rate

@@ -1,19 +1,26 @@
 """Time integration: equilibria, convergence order, monitors, determinism."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contourdyn import muskat, waterwaves
+from contourdyn.cli import initial_state
+from contourdyn.config import parse_config
 from contourdyn.errors import BottomContact, StabilityFailure
 from contourdyn.evolve import SimConfig, SimState, pv_all_nodes, run, step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, min_depth
-from contourdyn.kernels import VorticityStrength
+from contourdyn.kernels import VorticityStrength, solve_tangential
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.io import MemorySink
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
 from support import bump_curve, gaussian_strength
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONTRAST = {"mu_plus": 2.0, "mu_minus": 0.5}
 
 
 def stable_params(**kw) -> PhysicalParams:
@@ -143,6 +150,61 @@ class TestStep:
         # the guard matters: the stale field as k1 would move the result
         forced = dataclasses.replace(state, accepted_under=stepped)
         assert self.stepped_bytes(forced, stepped) != self.stepped_bytes(stripped, stepped)
+
+    @staticmethod
+    def closure_run(config: str, physics: dict, steps: int, cold: bool = False):
+        """The state after ``steps`` steps of a shipped config and each step's closure iterations.
+
+        ``cold`` drops every guess, so each solve starts from weight * rhs.
+        """
+        parsed = parse_config(str(CONFIGS / config))
+        sim = dataclasses.replace(parsed.sim, params=dataclasses.replace(parsed.sim.params, **physics))
+        state = initial_state(dataclasses.replace(parsed, sim=sim))
+        per_step = []
+
+        def counted(*args, guess=None, **kw):
+            x, iterations = solve_tangential(*args, guess=None if cold else guess, **kw)
+            per_step[-1] += iterations
+            return x, iterations
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (muskat, waterwaves):
+                patch.setattr(module, "solve_tangential", counted)
+            for _ in range(steps):
+                per_step.append(0)
+                state = step(state, sim)
+        return state, per_step
+
+    @pytest.mark.parametrize(
+        "config, physics, cold_iterations, bound",
+        [
+            pytest.param("stable_relaxation.cfg", CONTRAST, 92, 40, id="contrast"),
+            pytest.param("internal_wave.cfg", {}, 40, 30, id="waves"),
+        ],
+    )
+    def test_warm_closure_iterations(self, config, physics, cold_iterations, bound):
+        # each stage's closure starts from the last stage's solution, so from
+        # the second step on a step iterates far less than its four cold solves
+        _, cold = self.closure_run(config, physics, 4, cold=True)
+        _, warm = self.closure_run(config, physics, 4)
+        assert cold[1:] == [cold_iterations] * 3
+        assert max(warm[1:]) <= bound
+
+    @pytest.mark.parametrize(
+        "config, physics",
+        [
+            pytest.param("stable_relaxation.cfg", CONTRAST, id="contrast"),
+            pytest.param("internal_wave.cfg", {}, id="waves"),
+            pytest.param("stable_relaxation.cfg", {"mu_plus": 5.0, "mu_minus": 0.5}, id="contrast-5"),
+        ],
+    )
+    def test_warm_run_matches_cold(self, config, physics):
+        # the guesses move each solve within its stop rule only
+        warm, _ = self.closure_run(config, physics, 25)
+        cold, _ = self.closure_run(config, physics, 25, cold=True)
+        assert max(np.max(np.abs(warm.curve.z1 - cold.curve.z1)),
+                   np.max(np.abs(warm.curve.z2 - cold.curve.z2))) <= 1e-10
+        assert np.max(np.abs(warm.omega.omega - cold.omega.omega)) <= 1e-9
 
     def test_surface_tension_cap_pairs(self):
         # the raw step blows up on the stiff curvature term; the capped run

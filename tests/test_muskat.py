@@ -180,15 +180,43 @@ class TestGeneralViscosity:
         expect = dense_oracle(curve, params)
         assert np.max(np.abs(got.omega - expect)) <= 1e-8
 
-    def test_residual_bound(self):
+    @staticmethod
+    def trough(amplitude: float) -> InterfaceCurve:
         g = Grid(20.0, 256)
         w = plateau_window(g.alpha, 5.0, 5.0)
-        curve = InterfaceCurve(g, g.alpha.copy(), 1.0 + 0.2 * np.cos(g.alpha) * w)
+        return InterfaceCurve(g, g.alpha.copy(), 1.0 + amplitude * np.cos(g.alpha) * w)
+
+    def test_residual_bound(self):
+        curve = self.trough(0.2)
         params = muskat_params(mu_plus=1.5, mu_minus=0.75)
         tol = 1e-10
         omega = solve_vorticity_general(curve, params, tol=tol)
         residual = np.max(np.abs(omega.omega - full_velocity_map(curve, params, omega.omega)))
         assert residual <= 10.0 * tol
+
+    def test_warm_start(self):
+        # from a nearby curve's strength the same stop rule meets the same
+        # bound in fewer iterations and lands on the cold solution
+        curve = self.trough(0.2)
+        params = muskat_params(mu_plus=1.5, mu_minus=0.75)
+        tol = 1e-10
+        cold = solve_vorticity_general(curve, params, tol=tol)
+        guess = solve_vorticity_general(self.trough(0.19), params, tol=tol).omega
+        warm = solve_vorticity_general(curve, params, tol=tol, guess=guess)
+        residual = np.max(np.abs(warm.omega - full_velocity_map(curve, params, warm.omega)))
+        assert residual <= 10.0 * tol
+        assert np.max(np.abs(warm.omega - cold.omega)) <= 1e-9
+        assert warm.iterations < cold.iterations
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValidationError):
+            solve_vorticity_general(self.trough(0.2), muskat_params(mu_plus=2.0), tol=tol)
+
+    @pytest.mark.parametrize("guess", [np.zeros(255), np.full(256, np.nan), np.full(256, np.inf)])
+    def test_rejects_bad_guess(self, guess):
+        with pytest.raises(ValidationError):
+            solve_vorticity_general(self.trough(0.2), muskat_params(mu_plus=2.0), guess=guess)
 
     def test_contraction_observed(self):
         # successive Picard updates decay roughly geometrically with ratio

@@ -108,6 +108,34 @@ class TestOmegaRhs:
         resub = explicit + gain * (moving + tangential_velocity(curve, rate, op))
         assert np.max(np.abs(resub - rate)) <= 1e-10
 
+    def test_warm_start(self, grid256):
+        # from a nearby state's rate the same stop rule resubstitutes to
+        # 10 tol, the Muskat residual bound, and lands on the cold rate
+        params = wave_params()
+        state = WaveState(bump_curve(grid256, 0.05), gaussian_strength(grid256, amplitude=0.1))
+        nearby = WaveState(bump_curve(grid256, 0.045), gaussian_strength(grid256, amplitude=0.11))
+        curve, op = state.curve, state.operator
+        tol = 1e-10
+        cold = omega_rhs(state, params, tol=tol)
+        warm = omega_rhs(state, params, tol=tol, guess=omega_rhs(nearby, params, tol=tol))
+        explicit = -fd_derivative(bracket_term(state, params), grid256.spacing, 1)
+        moving = tangential_velocity_rate(curve, state.omega.omega, state.velocity, state.far, op)
+        resub = explicit + 2.0 * params.atwood * (moving + tangential_velocity(curve, warm, op))
+        assert np.max(np.abs(resub - warm)) <= 10.0 * tol
+        assert np.max(np.abs(warm - cold)) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_bad_tolerance(self, grid256, tol):
+        state = WaveState(bump_curve(grid256, 0.05), gaussian_strength(grid256, amplitude=0.1))
+        with pytest.raises(ValidationError):
+            omega_rhs(state, wave_params(), tol=tol)
+
+    @pytest.mark.parametrize("guess", [np.zeros(255), np.full(256, np.nan), np.full(256, np.inf)])
+    def test_rejects_bad_guess(self, grid256, guess):
+        state = WaveState(bump_curve(grid256, 0.05), gaussian_strength(grid256, amplitude=0.1))
+        with pytest.raises(ValidationError):
+            omega_rhs(state, wave_params(), guess=guess)
+
 
 class TestTangentialVelocityRate:
     @pytest.mark.parametrize("amplitude, omega_amp", [(0.1, 0.3), (-0.4, 0.8)])
