@@ -52,6 +52,6 @@ from .muskat import (
     vorticity_rhs,
 )
 from .profiles import InitialSpec, build_initial
-from .waterwaves import WaveState, bracket_term, omega_rhs
+from .waterwaves import bracket_term, omega_rhs
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitFailure, OutOfRegime, ValidationError
+from .errors import FitFailure, OutOfRegime
 from .geometry import (
     DECAY_TOL,
     FloatArray,
@@ -44,7 +44,9 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength, _sheet_rows, _source_columns, diagonal_limit, node_row
+from .kernels import (
+    VorticityStrength, _require_shared_grid, _sheet_rows, _source_columns, diagonal_limit, node_row
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,8 +114,7 @@ def depth_rate(
     analytic logarithm of the subtracted singularity to the far band, where
     the symmetric inner bands contribute zero by parity.
     """
-    if curve.grid != omega.grid:
-        raise ValidationError("curve and omega must share the same grid")
+    _require_shared_grid(curve, omega)
     curve.require_resolved()
     grid = curve.grid
     alpha = grid.alpha

@@ -51,7 +51,7 @@ def initial_state(parsed: ParsedConfig) -> SimState:
     sim = parsed.sim
     curve, omega = build_initial(parsed.initial, sim.grid)
     if sim.params.model is Model.MUSKAT:
-        omega = solve_vorticity(curve, sim.params)
+        omega, _ = solve_vorticity(curve, sim.params)
     return SimState(curve=curve, omega=omega, t=0.0)
 
 
@@ -84,7 +84,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t, curve = snapshots[args.index]
     params = parsed.sim.params
     if params.model is Model.MUSKAT:
-        omega = solve_vorticity(curve, params)
+        omega, _ = solve_vorticity(curve, params)
         omega_source = "model closure"
     else:
         omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))

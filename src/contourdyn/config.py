@@ -93,8 +93,9 @@ class ParsedConfig:
     sha256: str
 
 
-def _parse_sections(text: str) -> dict[str, dict[str, str]]:
-    values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
+def _parse_sections(text: str) -> dict[str, dict]:
+    """Each section's values in the text, converted to their types."""
+    values: dict[str, dict] = {name: {} for name in _SECTIONS}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,30 +123,19 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
         if key in values[section]:
             raise ParseError(lineno, f"duplicate key {key!r} in section [{section}]")
         converter = _SECTIONS[section][key]
-        if converter is not str:
-            try:
-                converter(value)
-            except ValueError:
-                raise ParseError(
-                    lineno, f"invalid {converter.__name__} for {key!r}: {value!r}"
-                ) from None
-        values[section][key] = value
+        try:
+            values[section][key] = converter(value)
+        except ValueError:
+            message = f"invalid {converter.__name__} for {key!r}: {value!r}"
+            raise ParseError(lineno, message) from None
     return values
-
-
-def _converted(section: str, raw: dict[str, str]) -> dict:
-    out = dict(_DEFAULTS[section])
-    for key, value in raw.items():
-        converter = _SECTIONS[section][key]
-        out[key] = converter(value) if converter is not str else value
-    return out
 
 
 def parse_config_text(text: str) -> ParsedConfig:
     """Parse configuration text into a validated ParsedConfig."""
     raw = _parse_sections(text)
     model_kv, grid_kv, physics_kv, initial_kv, output_kv = (
-        _converted(name, raw[name]) for name in _SECTIONS
+        {**_DEFAULTS[name], **raw[name]} for name in _SECTIONS
     )
 
     try:

@@ -10,10 +10,11 @@ The mask pins the decay bands to the exact flat state, which is the truncated
 domain's far-field closure; the suppressed motion is the O(1/distance^2) tail
 the truncation drops anyway.  Classical RK4 does the stepping; for Muskat the
 sheet strength is re-solved from the curve at every stage, for water waves the
-pair (z, omega) advances jointly.  A stage builds its curve's operator when the
-closure is implicit (a viscosity contrast's Picard solve, the wave rate), solves
-it from the previous stage's solution and takes the velocity from the operator.
-A contrast's acceptance solve also gives that state's field: the next k1.
+pair (z, omega) advances jointly.  A stage solves the closure from the previous
+stage's solution: muskat.solve_vorticity or waterwaves.omega_rhs, each of which
+decides whether it holds the curve's operator (a viscosity contrast's Picard
+solve, the wave rate at A != 0) and gives the velocity from it.  A contrast's
+acceptance solve also gives that state's field: the next k1.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -46,7 +47,7 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import VorticityStrength, node_operator, pv_all_nodes
+from .kernels import VorticityStrength, pv_all_nodes
 
 logger = logging.getLogger(__name__)
 
@@ -126,18 +127,14 @@ def _stage_field(curve: InterfaceCurve, y: FloatArray, config: SimConfig, mask: 
     """(closure x, masked field) of one stage curve; ``y`` carries a wave state's omega.
 
     x is Muskat's omega or the unmasked wave rate, iterated from ``guess``.  The
-    wave rate (A != 0) and a contrast's Picard solve hold the curve's operator,
-    and the velocity is one more apply of it; else it is one fused pass.
+    velocity is one apply of the operator the closure held, else one fused pass.
     """
     params = config.params
     if config.model is Model.WATER_WAVES:
         omega = VorticityStrength(config.grid, y[2], validate=False)
-        state = waterwaves.WaveState(curve, omega)
-        rate = waterwaves.omega_rhs(state, params, guess=guess)
-        u, v = state.velocity
+        rate, (u, v) = waterwaves.omega_rhs(curve, omega, params, guess=guess)
         return rate, np.stack((mask * u, mask * v, mask * rate))
-    operator = None if muskat.equal_viscosity(params) else node_operator(curve)
-    omega = muskat.solve_vorticity(curve, params, operator, guess)
+    omega, operator = muskat.solve_vorticity(curve, params, guess)
     u, v = pv_all_nodes(curve, omega, operator)
     return omega.omega, np.stack((mask * u, mask * v))
 
@@ -158,11 +155,12 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatAr
     curve.check_invariants()
     if config.model is not Model.MUSKAT:
         return SimState(curve, VorticityStrength(config.grid, y[2]), t_new)
-    if muskat.equal_viscosity(config.params):  # here the field would cost one more pass
-        return SimState(curve, muskat.solve_vorticity_equal(curve, config.params), t_new)
-    # the contrast solve holds the operator: one more apply gives the next step's k1
-    omega, field = _stage_field(curve, y, config, far_field_mask(config.grid), guess)
-    return SimState(curve, VorticityStrength(config.grid, omega), t_new, field, config)
+    omega, operator = muskat.solve_vorticity(curve, config.params, guess)
+    if operator is None:  # here the field would cost one more pass
+        return SimState(curve, omega, t_new)
+    # the solve held the operator: one more apply gives the next step's k1
+    field = far_field_mask(config.grid) * np.stack(pv_all_nodes(curve, omega, operator))
+    return SimState(curve, omega, t_new, field, config)
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
@@ -184,8 +182,6 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     x1, k1 = state.omega.omega, state.field
     if state.accepted_under != config:
         x1, k1 = stage(y0, None if waves else x1)
-    elif k1 is None:  # the velocity on the held operator: a re-solve would move the result
-        k1 = mask * np.stack(pv_all_nodes(state.curve, state.omega, node_operator(state.curve)))
     x2, k2 = stage(y0 + 0.5 * dt * k1, x1)
     x3, k3 = stage(y0 + 0.5 * dt * k2, x2)
     x4, k4 = stage(y0 + dt * k3, 2.0 * x3 - x1)

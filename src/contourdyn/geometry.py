@@ -445,6 +445,8 @@ def curve_from_record(record: dict) -> tuple[float, InterfaceCurve]:
         alpha, z1, z2 = (np.asarray(record[key], dtype=np.float64) for key in ("alpha", "z1", "z2"))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"snapshot record is not numeric: {exc}") from None
+    if not np.isfinite(t):
+        raise ValidationError(f"snapshot time must be finite, got {t}")
     if alpha.size < 16:
         raise ValidationError("snapshot record has too few nodes")
     h = alpha[1] - alpha[0]

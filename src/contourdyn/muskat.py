@@ -13,7 +13,9 @@ second-kind integral equation solved here by Picard iteration, whose natural
 contraction factor is |mu_+ - mu_-| / (mu_+ + mu_-) times the norm of the
 velocity operator.  Only V . dz/dalpha enters, which needs no derivative of
 omega (kernels.tangential_velocity): an iteration is one apply of the curve's
-held operator plus O(N) work.
+held operator plus O(N) work.  solve_vorticity decides whether the closure
+holds an operator, and returns it with omega, so a caller's velocity is one
+more apply of it (kernels.pv_all_nodes).
 
 The interior mask keeps omega exactly zero on the decay bands, consistent with
 the truncated-domain far-field closure; the Picard iteration solves this masked
@@ -109,9 +111,14 @@ def solve_vorticity_general(
 
 
 def solve_vorticity(
-    curve: InterfaceCurve, params: PhysicalParams, operator: np.ndarray | None = None, guess=None
-) -> VorticityStrength:
-    """Strength from the closure: explicit for equal viscosities, else Picard from ``guess``."""
+    curve: InterfaceCurve, params: PhysicalParams, guess: FloatArray | None = None
+) -> tuple[VorticityStrength, np.ndarray | None]:
+    """(omega, operator) from the closure: the operator the velocity can apply.
+
+    Explicit with no operator for equal viscosities; else a Picard solve from
+    ``guess`` on the curve's node_operator, which comes back with omega.
+    """
     if equal_viscosity(params):
-        return solve_vorticity_equal(curve, params)
-    return solve_vorticity_general(curve, params, operator=operator, guess=guess)
+        return solve_vorticity_equal(curve, params), None
+    operator = node_operator(curve)
+    return solve_vorticity_general(curve, params, operator=operator, guess=guess), operator

@@ -351,6 +351,16 @@ class TestAnalyze:
         assert record["error"] == "ValidationError"
         assert "not numeric" in record["detail"]
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_exit_code(self, stable_cfg, tmp_path, capsys, t):
+        from contourdyn.geometry import Grid
+
+        bad = {"t": t, "alpha": Grid(20.0, 32).alpha.tolist(), "z1": [0.0] * 32, "z2": [1.0] * 32}
+        code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, record=bad)
+        assert code == 2
+        assert record["error"] == "ValidationError"
+        assert "snapshot time must be finite" in record["detail"]
+
 
 class TestRuntimeImports:
     def test_fit_and_analyze_do_not_import_scipy(self, stable_cfg, tmp_path):

@@ -133,6 +133,14 @@ class TestRoundTrip:
                 section.append(line.partition("=")[0].strip())
         assert documented == {name: list(keys) for name, keys in _SECTIONS.items()}
 
+    def test_readme_entry_points_import(self):
+        # the "Library entry points" block runs as written: a name it lists
+        # that the package no longer has fails here, not in a reader's shell
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library entry points", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_hash_stability(self):
         a = parse_config_text(MINIMAL)
         b = parse_config_text(MINIMAL + "\n# a comment changes nothing\n")

@@ -18,6 +18,7 @@ from contourdyn.geometry import (
 )
 from contourdyn.kernels import node_operator
 from contourdyn.muskat import (
+    solve_vorticity,
     solve_vorticity_equal,
     solve_vorticity_general,
     vorticity_rhs,
@@ -262,3 +263,21 @@ class TestGeneralViscosity:
         omega = solve_vorticity_general(curve, muskat_params(mu_plus=2.0, mu_minus=1.0))
         band = g.band_mask
         assert np.max(np.abs(omega.omega[band])) <= 1e-10
+
+
+class TestSolveVorticity:
+    def test_equal_viscosity_holds_no_operator(self):
+        curve = trig_curve(256)
+        params = muskat_params()
+        omega, operator = solve_vorticity(curve, params)
+        assert operator is None
+        assert np.array_equal(omega.omega, solve_vorticity_equal(curve, params).omega)
+
+    def test_contrast_returns_the_curves_operator(self):
+        # the operator the Picard solve built comes back, bit for bit node_operator's
+        curve = TestGeneralViscosity.trough(0.2)
+        params = muskat_params(mu_plus=2.0, mu_minus=0.5)
+        omega, operator = solve_vorticity(curve, params)
+        assert np.array_equal(operator, node_operator(curve))
+        reference = solve_vorticity_general(curve, params, operator=operator)
+        assert np.array_equal(omega.omega, reference.omega)
