@@ -1,6 +1,6 @@
 """Contour dynamics for confined two-phase interfaces over a flat bottom."""
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -54,4 +54,6 @@ from .muskat import (
 from .profiles import InitialSpec, build_initial
 from .waterwaves import bracket_term, omega_rhs
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above: not the submodules their imports bind
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

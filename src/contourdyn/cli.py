@@ -21,13 +21,11 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import continuation_report, fit_double_exponential, identity_defect
 from .config import ParsedConfig, parse_config, with_grid
 from .errors import ConfigError, ContourError, ValidationError
-from .evolve import SimState, run as run_simulation
+from .evolve import SimState, closure_state, run as run_simulation
 from .geometry import Model
 from .io import (
     DiagnosticsCsvSink,
@@ -35,8 +33,6 @@ from .io import (
     read_diagnostics,
     read_snapshots,
 )
-from .kernels import VorticityStrength
-from .muskat import solve_vorticity
 from .profiles import build_initial
 
 logger = logging.getLogger(__name__)
@@ -47,12 +43,13 @@ EXIT_RUNTIME = 3
 
 
 def initial_state(parsed: ParsedConfig) -> SimState:
-    """Build the initial state; Muskat strength comes from the model closure."""
-    sim = parsed.sim
-    curve, omega = build_initial(parsed.initial, sim.grid)
-    if sim.params.model is Model.MUSKAT:
-        omega, _ = solve_vorticity(curve, sim.params)
-    return SimState(curve=curve, omega=omega, t=0.0)
+    """The t = 0 state, built by evolve.closure_state.
+
+    A wave state keeps the profile's strength; a Muskat state's comes from the
+    closure, and a contrast state also carries its first k1.
+    """
+    curve, omega = build_initial(parsed.initial, parsed.sim.grid)
+    return closure_state(curve, 0.0, parsed.sim, omega)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -82,14 +79,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not -len(snapshots) <= args.index < len(snapshots):
         raise ValidationError(f"no snapshot {args.index} among the {len(snapshots)} stored")
     t, curve = snapshots[args.index]
-    params = parsed.sim.params
-    if params.model is Model.MUSKAT:
-        omega, _ = solve_vorticity(curve, params)
-        omega_source = "model closure"
-    else:
-        omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
+    state = closure_state(curve, t, parsed.sim)
+    omega_source = "model closure"
+    if parsed.sim.model is Model.WATER_WAVES:
         omega_source = "zero (sheet strength is prognostic and not stored in snapshots)"
-    report = continuation_report(curve, omega, params, t=t)
+    report = continuation_report(curve, state.omega, parsed.sim.params, t=t)
     value_i, value_it, defect = identity_defect(curve)
     record = dataclasses.asdict(report)
     record.update(

@@ -16,10 +16,12 @@ The format is sectioned key = value text:
     dt = 0.01
     t_end = 1.0
 
-Unknown sections or keys are errors; every default is made explicit by the
-canonical serialization, whose SHA-256 stamps all output files.  Parsing is
-hand-rolled (rather than configparser) so malformed values report their line
-number.
+The [physics], [initial] and [output] keys are the str, int and float fields
+of PhysicalParams, InitialSpec and SimConfig, in field order, with their
+defaults (but dt and t_end); only the renamed [model] and [grid] keys are
+listed here.  Unknown sections or keys are errors; every default is made
+explicit by the canonical serialization, whose SHA-256 stamps all output
+files.  Parsing is hand-rolled so malformed values report their line number.
 """
 
 from __future__ import annotations
@@ -32,54 +34,25 @@ from .evolve import SimConfig
 from .geometry import Grid, Model, PhysicalParams
 from .profiles import InitialSpec
 
-_MODEL_KEYS = {"type": str}
-_GRID_KEYS = {"N": int, "L": float}
-_PHYSICS_KEYS = {
-    "mu_plus": float,
-    "mu_minus": float,
-    "rho_plus": float,
-    "rho_minus": float,
-    "g": float,
-    "gamma": float,
-}
-_INITIAL_KEYS = {
-    "profile": str,
-    "amplitude": float,
-    "window_flat": float,
-    "window_ramp": float,
-    "delta": float,
-    "z1_wiggle": float,
-    "omega_profile": str,
-    "omega_amplitude": float,
-    "omega_center": float,
-    "omega_sigma": float,
-}
-_OUTPUT_KEYS = {
-    "dt": float,
-    "t_end": float,
-    "snapshot_every": int,
-    "contact_tol": float,
-}
-_SECTIONS = {
-    "model": _MODEL_KEYS,
-    "grid": _GRID_KEYS,
-    "physics": _PHYSICS_KEYS,
-    "initial": _INITIAL_KEYS,
-    "output": _OUTPUT_KEYS,
-}
+_CONVERTERS = {"str": str, "int": int, "float": float}
 
 
-def _field_defaults(cls, keys) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name in keys}
+def _schema(cls, **defaults) -> dict:
+    """{key: (converter, default)} of each str/int/float field of ``cls``, in field order."""
+    return {
+        f.name: (_CONVERTERS[kind], defaults.get(f.name, f.default))
+        for f in fields(cls)
+        if (kind := getattr(f.type, "__name__", f.type)) in _CONVERTERS
+    }
 
 
 # Every default is the dataclass's own, except the two run lengths.
-_DEFAULTS = {
-    "model": {"type": "muskat"},
-    "grid": {"N": 256, "L": 20.0},
-    "physics": _field_defaults(PhysicalParams, _PHYSICS_KEYS),
-    "initial": _field_defaults(InitialSpec, _INITIAL_KEYS),
-    "output": {**_field_defaults(SimConfig, _OUTPUT_KEYS), "dt": 0.01, "t_end": 1.0},
+_SECTIONS = {
+    "model": {"type": (str, "muskat")},
+    "grid": {"N": (int, 256), "L": (float, 20.0)},
+    "physics": _schema(PhysicalParams),
+    "initial": _schema(InitialSpec),
+    "output": _schema(SimConfig, dt=0.01, t_end=1.0),
 }
 
 
@@ -122,7 +95,7 @@ def _parse_sections(text: str) -> dict[str, dict]:
             raise ParseError(lineno, f"unknown key {key!r} in section [{section}]")
         if key in values[section]:
             raise ParseError(lineno, f"duplicate key {key!r} in section [{section}]")
-        converter = _SECTIONS[section][key]
+        converter, _ = _SECTIONS[section][key]
         try:
             values[section][key] = converter(value)
         except ValueError:
@@ -135,7 +108,8 @@ def parse_config_text(text: str) -> ParsedConfig:
     """Parse configuration text into a validated ParsedConfig."""
     raw = _parse_sections(text)
     model_kv, grid_kv, physics_kv, initial_kv, output_kv = (
-        {**_DEFAULTS[name], **raw[name]} for name in _SECTIONS
+        {**{key: default for key, (_, default) in keys.items()}, **raw[name]}
+        for name, keys in _SECTIONS.items()
     )
 
     try:
@@ -146,10 +120,7 @@ def parse_config_text(text: str) -> ParsedConfig:
         ) from None
     params = PhysicalParams(model=model, **physics_kv)
     grid = Grid(half_width=grid_kv["L"], node_count=grid_kv["N"])
-    try:
-        sim = SimConfig(params=params, grid=grid, **output_kv)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    sim = SimConfig(params=params, grid=grid, **output_kv)
     return _stamped(sim, InitialSpec(**initial_kv))
 
 
@@ -178,12 +149,11 @@ def _fmt(value) -> str:
 def serialize_config(sim: SimConfig, initial: InitialSpec) -> str:
     """Canonical text with every default explicit; parse/serialize is idempotent."""
     lines: list[str] = []
+    owners = {"physics": sim.params, "initial": initial, "output": sim}
     sections = {
         "model": {"type": sim.params.model.value},
         "grid": {"N": sim.grid.node_count, "L": sim.grid.half_width},
-        "physics": {key: getattr(sim.params, key) for key in _PHYSICS_KEYS},
-        "initial": {key: getattr(initial, key) for key in _INITIAL_KEYS},
-        "output": {key: getattr(sim, key) for key in _OUTPUT_KEYS},
+        **{name: {key: getattr(owners[name], key) for key in _SECTIONS[name]} for name in owners},
     }
     for name, keys in sections.items():
         lines.append(f"[{name}]")

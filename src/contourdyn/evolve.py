@@ -13,8 +13,10 @@ sheet strength is re-solved from the curve at every stage, for water waves the
 pair (z, omega) advances jointly.  A stage solves the closure from the previous
 stage's solution: muskat.solve_vorticity or waterwaves.omega_rhs, each of which
 decides whether it holds the curve's operator (a viscosity contrast's Picard
-solve, the wave rate at A != 0) and gives the velocity from it.  A contrast's
-acceptance solve also gives that state's field: the next k1.
+solve, the wave rate at A != 0) and gives the velocity from it.  closure_state
+is the one place that gives a state its strength, for an initial state, an
+accepted step and a stored snapshot alike; a contrast state also carries its
+field from the held operator: the next k1.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -31,12 +33,7 @@ import numpy as np
 
 from . import muskat, waterwaves
 from .analysis import BLOWUP_CAP, CHORD_ARC_CAP, DepthDiagnostics, depth_rate
-from .errors import (
-    BottomContact,
-    ContourError,
-    NoConvergence,
-    StabilityFailure,
-)
+from .errors import BottomContact, ContourError, NoConvergence, StabilityFailure, ValidationError
 from .geometry import (
     FloatArray,
     Grid,
@@ -70,11 +67,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
+            raise ValidationError(f"t_end must be finite and non-negative, got {self.t_end}")
         if not (np.isfinite(self.contact_tol) and self.contact_tol >= 0.0):
-            raise ValueError(f"contact_tol must be finite and non-negative, got {self.contact_tol}")
+            raise ValidationError(
+                f"contact_tol must be finite and non-negative, got {self.contact_tol}"
+            )
 
     @property
     def model(self) -> Model:
@@ -100,7 +99,7 @@ class SimState:
     curve: InterfaceCurve
     omega: VorticityStrength
     t: float = 0.0
-    # a contrast acceptance's masked velocity: the next step's k1 under that config only
+    # a contrast state's masked velocity (closure_state): the next k1 under that config only
     field: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     accepted_under: SimConfig | None = dataclasses.field(default=None, compare=False, repr=False)
 
@@ -153,22 +152,38 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatAr
     if curve.chord_arc > CHORD_ARC_CAP:
         raise StabilityFailure(t_new, "chord-arc constant", curve.chord_arc)
     curve.check_invariants()
-    if config.model is not Model.MUSKAT:
-        return SimState(curve, VorticityStrength(config.grid, y[2]), t_new)
+    omega = VorticityStrength(config.grid, y[2]) if config.model is Model.WATER_WAVES else None
+    return closure_state(curve, t_new, config, omega, guess)
+
+
+def closure_state(
+    curve: InterfaceCurve, t: float, config: SimConfig,
+    omega: VorticityStrength | None = None, guess: FloatArray | None = None,
+) -> SimState:
+    """The state of ``curve`` at ``t`` with the strength its model gives it.
+
+    A wave state takes its prognostic ``omega`` (zero if none is given).  A
+    Muskat state's strength is the closure's, solved from ``guess``; when that
+    solve held the operator, one more apply of it gives the state's field, the
+    next step's k1 under ``config``.
+    """
+    if config.model is Model.WATER_WAVES:
+        if omega is None:  # a snapshot stores no strength
+            omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
+        return SimState(curve, omega, t)
     omega, operator = muskat.solve_vorticity(curve, config.params, guess)
     if operator is None:  # here the field would cost one more pass
-        return SimState(curve, omega, t_new)
-    # the solve held the operator: one more apply gives the next step's k1
-    field = far_field_mask(config.grid) * np.stack(pv_all_nodes(curve, omega, operator))
-    return SimState(curve, omega, t_new, field, config)
+        return SimState(curve, omega, t)
+    field = far_field_mask(curve.grid) * np.stack(pv_all_nodes(curve, omega, operator))
+    return SimState(curve, omega, t, field, config)
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One classical RK4 step of the masked system, with post-step checks.
 
     A stage's closure iterates from stage i-1's x, stage 4's from 2 x3 - x1 (linear
-    in stage time), the acceptance's from x4.  A contrast state accepted under
-    ``config`` holds its x1, so k1 solves nothing; the wave k1 starts cold.
+    in stage time), the acceptance's from x4.  A contrast state made under ``config``
+    (initial or accepted) holds its x1, so k1 solves nothing; the wave k1 starts cold.
     """
     dt = config.dt if dt is None else float(dt)
     mask = far_field_mask(config.grid)
@@ -229,7 +244,7 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
     for i in range(1, n_steps + 1):
         try:
             state = step(state, config, dt=dt)
-        except (BottomContact, StabilityFailure, NoConvergence, ContourError) as exc:
+        except ContourError as exc:
             status = {
                 BottomContact: "bottom_contact",
                 StabilityFailure: "stability_failure",

@@ -67,15 +67,15 @@ class InitialSpec:
             raise ValidationError("omega_sigma must be positive")
 
 
-def _window_or_fail(spec: InitialSpec, grid: Grid) -> FloatArray:
-    support = spec.window_flat + spec.window_ramp
+def _window_or_fail(grid: Grid, flat_half: float, ramp: float) -> FloatArray:
+    support = flat_half + ramp
     usable = grid.half_width - (grid.spacing * (min(DECAY_BAND, grid.node_count // 2) + 1))
     if support >= usable:
         raise ValidationError(
             f"window support {support:.3g} reaches the decay band of the grid "
             f"(usable half-width {usable:.3g}); widen the grid or narrow the window"
         )
-    return plateau_window(grid.alpha, spec.window_flat, spec.window_ramp)
+    return plateau_window(grid.alpha, flat_half, ramp)
 
 
 def build_initial(spec: InitialSpec, grid: Grid) -> tuple[InterfaceCurve, VorticityStrength]:
@@ -84,18 +84,14 @@ def build_initial(spec: InitialSpec, grid: Grid) -> tuple[InterfaceCurve, Vortic
     z1 = alpha.copy()
     if spec.profile == "flat":
         z2 = np.ones_like(alpha)
-    elif spec.profile == "cosine":
-        w = _window_or_fail(spec, grid)
-        z2 = 1.0 + spec.amplitude * np.cos(alpha) * w
     elif spec.profile == "pinch":
-        w = plateau_window(alpha, 0.0, max(spec.window_ramp, grid.spacing * 4))
-        if spec.window_flat + spec.window_ramp >= grid.half_width:
-            raise ValidationError("pinch window reaches the grid boundary")
+        w = _window_or_fail(grid, 0.0, max(spec.window_ramp, grid.spacing * 4))
         z2 = 1.0 - (1.0 - spec.delta) * w
-    elif spec.profile == "monotone":
-        w = _window_or_fail(spec, grid)
+    elif spec.profile in ("cosine", "monotone"):
+        w = _window_or_fail(grid, spec.window_flat, spec.window_ramp)
         z2 = 1.0 + spec.amplitude * np.cos(alpha) * w
-        z1 = alpha + spec.z1_wiggle * np.sin(alpha) * w
+        if spec.profile == "monotone":
+            z1 = alpha + spec.z1_wiggle * np.sin(alpha) * w
     else:  # pragma: no cover - guarded by InitialSpec
         raise ValidationError(f"unhandled profile {spec.profile!r}")
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -283,6 +284,28 @@ class TestAnalyze:
         assert abs(record["identity_Itilde"] - record["identity_I"] - np.pi) < 1e-3
         assert record["omega_source"] == "model closure"
 
+    @pytest.mark.parametrize(
+        "physics", ["", "mu_plus = 2.0\nmu_minus = 0.5\n"], ids=["equal", "contrast"]
+    )
+    def test_analyze_rebuilds_the_initial_state(self, tmp_path, capsys, physics):
+        # analyze on the t = 0 snapshot reports what the run recorded in row 0
+        cfg = tmp_path / "run.cfg"
+        text = STABLE_CFG.replace("[physics]\n", "[physics]\n" + physics)
+        cfg.write_text(text.replace("t_end = 0.3", "t_end = 0.02"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        snapshots = str(out / "snapshots.jsonl")
+        assert main(["analyze", "--config", str(cfg), "--in", snapshots, "--index", "0"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        row = read_diagnostics(str(out / "diagnostics.csv"))
+        assert record["t"] == row["t"][0] == 0.0
+        for key, column in [
+            ("m", "m"), ("alpha_star", "alpha_star"), ("chord_arc", "chord_arc"),
+            ("omega_c1", "omega_c1_norm"),
+        ]:
+            assert record[key] == row[column][0], key
+
     def test_index_out_of_range_exit_code(self, stable_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--config", stable_cfg, "--out", str(out)])
@@ -360,6 +383,15 @@ class TestAnalyze:
         assert code == 2
         assert record["error"] == "ValidationError"
         assert "snapshot time must be finite" in record["detail"]
+
+
+class TestPackage:
+    def test_star_import_binds_no_module(self):
+        namespace: dict = {}
+        exec("from contourdyn import *", namespace)
+        assert "annotations" not in namespace
+        assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+        assert "run" in namespace and "SimConfig" in namespace
 
 
 class TestRuntimeImports:

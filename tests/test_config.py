@@ -1,13 +1,17 @@
 """Configuration parsing, validation, and canonical round-trips."""
 
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from contourdyn.config import _SECTIONS, parse_config_text, with_grid
+from contourdyn.config import _SECTIONS, _schema, parse_config, parse_config_text, with_grid
 from contourdyn.errors import ParseError, ValidationError
-from contourdyn.geometry import Model
+from contourdyn.geometry import Model, PhysicalParams
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 [model]
@@ -133,6 +137,29 @@ class TestRoundTrip:
                 section.append(line.partition("=")[0].strip())
         assert documented == {name: list(keys) for name, keys in _SECTIONS.items()}
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("internal_wave", "73b0bab6ad912efb6f31c68299450720dc4c922eea9c0402ba3d481d99853212"),
+            ("stable_relaxation", "3ad896ded9ee2d1e5dca50f82c63848201c0333920f03fd7e8fc282c7ba29eb5"),
+            ("unstable_pinch", "b7cab83afc0aed42b493898e06537cb8435a9e7157ff9abca78179da13af5c19"),
+        ],
+    )
+    def test_shipped_config_hashes(self, name, digest):
+        # the canonical key order comes from the dataclasses' field order:
+        # moving a field must not move a shipped run's hash unnoticed
+        assert parse_config(str(CONFIGS / f"{name}.cfg")).sha256 == digest
+
+    def test_a_new_plain_field_is_a_new_key(self):
+        @dataclass(frozen=True)
+        class Extended(PhysicalParams):
+            k_c: float = 0.5
+            note: tuple = ()
+
+        schema = _schema(Extended)
+        assert list(schema) == [*_SECTIONS["physics"], "k_c"]
+        assert schema["k_c"] == (float, 0.5)
+
     def test_readme_entry_points_import(self):
         # the "Library entry points" block runs as written: a name it lists
         # that the package no longer has fails here, not in a reader's shell
@@ -187,6 +214,28 @@ class TestProfileEdges:
         inside = InitialSpec(profile="cosine", amplitude=0.1,
                              window_flat=usable - grid.spacing - 6.0, window_ramp=6.0)
         build_initial(inside, grid)
+
+    def test_pinch_window_checked_like_the_others(self):
+        from contourdyn.profiles import InitialSpec, build_initial
+        from contourdyn.geometry import DECAY_BAND, Grid
+
+        # the pinch window is flat_half 0 plus the ramp: window_flat plays no part
+        grid = Grid(20.0, 256)
+        build_initial(InitialSpec(profile="pinch", window_ramp=15.0), grid)
+        usable = grid.half_width - grid.spacing * (DECAY_BAND + 1)
+        past = InitialSpec(profile="pinch", window_ramp=usable + grid.spacing)
+        with pytest.raises(ValidationError, match="reaches the decay band"):
+            build_initial(past, grid)
+
+    def test_shipped_pinch_samples(self):
+        from contourdyn.profiles import build_initial, plateau_window
+
+        parsed = parse_config(str(CONFIGS / "unstable_pinch.cfg"))
+        grid, spec = parsed.sim.grid, parsed.initial
+        curve, _ = build_initial(spec, grid)
+        expected = 1.0 - (1.0 - spec.delta) * plateau_window(grid.alpha, 0.0, spec.window_ramp)
+        assert np.array_equal(curve.z2, expected)
+        assert np.array_equal(curve.z1, grid.alpha)
 
     def test_gaussian_strength_must_decay(self):
         from contourdyn.profiles import InitialSpec, build_initial

@@ -9,7 +9,7 @@ import pytest
 from contourdyn import muskat, waterwaves
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config
-from contourdyn.errors import BottomContact, StabilityFailure
+from contourdyn.errors import BottomContact, StabilityFailure, ValidationError
 from contourdyn.evolve import SimConfig, SimState, pv_all_nodes, run, step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask, min_depth
 from contourdyn.kernels import VorticityStrength, node_operator, solve_tangential
@@ -130,15 +130,22 @@ class TestStep:
         s = step(state, cfg)
         return s.curve.z1.tobytes() + s.curve.z2.tobytes() + s.omega.omega.tobytes()
 
-    def test_accepted_field_is_the_next_k1(self, grid256):
-        # a contrast state keeps its velocity from the acceptance solve: the
-        # masked velocity on the accepted curve's operator, bit for bit
-        params = stable_params(mu_plus=2.0, mu_minus=0.5)
-        cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=1.0)
-        state = step(trough_state(grid256, stable_params()), cfg)
+    @pytest.mark.parametrize("made_by", ["step", "initial_state"])
+    def test_accepted_field_is_the_next_k1(self, grid256, made_by):
+        # a contrast state keeps its velocity from its closure solve: the
+        # masked velocity on the state curve's operator, bit for bit
+        if made_by == "step":
+            params = stable_params(mu_plus=2.0, mu_minus=0.5)
+            cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=1.0)
+            state = step(trough_state(grid256, stable_params()), cfg)
+        else:
+            parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+            params = dataclasses.replace(parsed.sim.params, **CONTRAST)
+            cfg = dataclasses.replace(parsed.sim, params=params)
+            state = initial_state(dataclasses.replace(parsed, sim=cfg))
         assert state.field is not None and state.accepted_under == cfg
         velocity = pv_all_nodes(state.curve, state.omega, node_operator(state.curve))
-        assert np.array_equal(state.field, far_field_mask(grid256) * np.stack(velocity))
+        assert np.array_equal(state.field, far_field_mask(state.curve.grid) * np.stack(velocity))
 
     def test_field_from_another_config_is_not_reused(self, grid256):
         params = stable_params(mu_plus=2.0, mu_minus=0.5)
@@ -227,6 +234,13 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("key", ["dt", "t_end", "contact_tol"])
+    def test_non_finite_config_is_a_validation_error(self, grid256, key):
+        # the same error type as Grid, PhysicalParams and InitialSpec raise
+        values = {"dt": 0.01, "t_end": 1.0, key: float("nan")}
+        with pytest.raises(ValidationError, match=key):
+            SimConfig(params=stable_params(), grid=grid256, **values)
+
     def test_zero_length_run(self, grid256):
         params = stable_params()
         cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=0.0, snapshot_every=0)
