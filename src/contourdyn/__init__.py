@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     SelfIntersection,
     StabilityFailure,
-    TooCloseToCurve,
     ValidationError,
 )
 from .geometry import (
@@ -28,13 +27,7 @@ from .geometry import (
     holder_norms,
     min_depth,
 )
-from .kernels import (
-    Velocity2,
-    VorticityStrength,
-    plemelj_velocity,
-    pv_boundary_integral,
-    velocity_at_point,
-)
+from .kernels import VorticityStrength
 from .analysis import (
     BoundFit,
     DepthDiagnostics,

@@ -15,19 +15,6 @@ class SelfIntersection(ContourError):
     """Two distinct parameter nodes map to (nearly) the same point."""
 
 
-class TooCloseToCurve(ContourError):
-    """Off-curve velocity requested inside the near-field collar of the curve."""
-
-    def __init__(self, distance: float, tol: float):
-        super().__init__(
-            f"evaluation point at distance {distance:.3e} from the curve; "
-            f"off-curve evaluation requires distance >= {tol:.3e} "
-            "(use the one-sided boundary limits instead)"
-        )
-        self.distance = distance
-        self.tol = tol
-
-
 class NoConvergence(ContourError):
     """A fixed-point iteration exhausted its iteration budget."""
 

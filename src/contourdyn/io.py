@@ -9,7 +9,6 @@ which preserves full double precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -72,20 +71,6 @@ class SnapshotJsonlSink:
 
     def on_snapshot(self, t: float, curve: InterfaceCurve, omega: VorticityStrength) -> None:
         self._fh.write(json.dumps(curve_record(curve, t)) + "\n")
-
-
-@dataclass
-class MemorySink:
-    """In-memory sink for tests and single-shot analyses."""
-
-    diagnostics: list[DepthDiagnostics] = field(default_factory=list)
-    snapshots: list[tuple[float, InterfaceCurve, VorticityStrength]] = field(default_factory=list)
-
-    def on_diagnostics(self, diag: DepthDiagnostics) -> None:
-        self.diagnostics.append(diag)
-
-    def on_snapshot(self, t: float, curve: InterfaceCurve, omega: VorticityStrength) -> None:
-        self.snapshots.append((t, curve, omega))
 
 
 def read_diagnostics(path: str) -> dict[str, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Half-plane velocity kernel with mirror term and its boundary limits.
+"""Half-plane velocity kernel with mirror term and its principal value on the curve.
 
 In complex form (the Birkhoff-Rott vortex-sheet form of Baker, Meiron and
 Orszag), a sheet of strength omega on the curve z(s) = z1(s) + i z2(s)
@@ -59,19 +59,13 @@ import os
 from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, TooCloseToCurve, ValidationError
+from .errors import NoConvergence, ValidationError
 from .geometry import DECAY_TOL, FloatArray, Grid, InterfaceCurve, fd_derivative
 
 INV_2PI_I = 1.0 / (2j * np.pi)
-
-# Off-curve evaluation is refused inside this many grid cells of the curve
-# (scaled by max |dz/dalpha|); inside the collar the quadrature is silently
-# inaccurate, so callers must switch to the one-sided limits.
-NEAR_FIELD_CELLS = 3.0
 
 # Source rows per block of a pair pass: BLOCK_PAIRS // N, 64 at N = 256 and 32
 # at 512, but at least OPERATOR_BLOCK, at or near the fastest of 8-64 rows at
@@ -82,15 +76,10 @@ BLOCK_PAIRS = 16 * 1024
 # Node count from which a pair pass runs half of its targets on a helper thread.
 SPLIT_NODES = 1024
 
-# Sup-norm change of successive iterates at which solve_tangential stops.
+# Sup-norm change of successive iterates at which solve_tangential stops, and
+# the iterations it makes before NoConvergence, for both closures.
 FIXED_POINT_TOL = 1e-10
-
-
-class Velocity2(NamedTuple):
-    """Planar velocity sample."""
-
-    u: float
-    v: float
+MAX_FIXED_POINT_ITER = 200
 
 
 @dataclass(eq=False)
@@ -225,30 +214,6 @@ def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
     return (omega @ rows.view(np.float64)).view(np.complex128)
 
 
-def _conjugate_pv(curve: InterfaceCurve, omega: VorticityStrength, far: np.ndarray, nodes):
-    """u - iv at the on-curve targets ``nodes``, given their punctured sums ``far``."""
-    d2x, d2y = curve.d2
-    dz, d2z = curve.dz[nodes], d2x[nodes] + 1j * d2y[nodes]
-    limit = diagonal_limit(dz, d2z, omega.omega[nodes], omega.d1[nodes])
-    return far + curve.grid.trapezoid_weights[nodes] * limit * INV_2PI_I
-
-
-def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> Velocity2:
-    """Velocity at a point strictly off the curve (trapezoid quadrature).
-
-    Raises TooCloseToCurve inside the near-field collar, where the caller
-    must use plemelj_velocity instead.
-    """
-    _require_shared_grid(curve, omega)
-    t = complex(float(p[0]), float(p[1]))
-    dist = float(np.min(np.abs(t - curve.z)))
-    tol = NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
-    if dist < tol:
-        raise TooCloseToCurve(dist, tol)
-    w = _apply(_sheet_rows(_source_columns(curve), [t]), omega.omega * curve.sheet_scale)[0]
-    return Velocity2(float(w.real), float(-w.imag))
-
-
 def node_row(curve: InterfaceCurve, j: int) -> np.ndarray:
     """1 / ((z_j - z_k)(z_j - zbar_k)) over the sources k, punctured at k = j.
 
@@ -263,18 +228,10 @@ def node_row(curve: InterfaceCurve, j: int) -> np.ndarray:
     return _sheet_rows(_source_columns(curve), curve.z[[j]], puncture=([j], [0]))[:, 0]
 
 
-def pv_boundary_integral(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> Velocity2:
-    """Mean (principal-value) velocity on the curve at node j."""
-    _require_shared_grid(curve, omega)
-    row = node_row(curve, j)[:, None]
-    w = _conjugate_pv(curve, omega, _apply(row, omega.omega * curve.sheet_scale), [j])[0]
-    return Velocity2(float(w.real), float(-w.imag))
-
-
 def pv_all_nodes(
     curve: InterfaceCurve, omega: VorticityStrength, operator: np.ndarray | None = None
 ) -> tuple[FloatArray, FloatArray]:
-    """Principal-value velocity (u, v) at every node.
+    """Principal-value velocity (u, v) at every node: punctured sums plus diagonal limits.
 
     The punctured sums a R, a = omega w z2 / pi, are one fused O(N^2) pass,
     unless ``operator``, the curve's node_operator held by a solve that applies
@@ -292,7 +249,9 @@ def pv_all_nodes(
         _pair_pass(curve, "fused", reduce)
     else:
         far = _apply(operator, density)
-    w = _conjugate_pv(curve, omega, far, slice(None))
+    d2x, d2y = curve.d2
+    limit = diagonal_limit(curve.dz, d2x + 1j * d2y, omega.omega, omega.d1)
+    w = far + curve.grid.trapezoid_weights * limit * INV_2PI_I
     return w.real, -w.imag
 
 
@@ -342,41 +301,23 @@ def tangential_velocity_rate(
     return (moved * dz + far * dzdot).real + w * turning * omega / (4.0 * np.pi)
 
 
-def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, max_iter, what, guess=None):
+def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, what, guess=None):
     """x = weight (rhs + gain V(x) . dz/dalpha) by fixed-point iteration from ``guess``.
 
     ``guess`` defaults to weight * rhs.  One tangential_velocity apply of the
     held operator and O(N) work per iteration, until successive iterates agree
-    to tol in the sup norm.  Returns x and the iteration count; NoConvergence
-    after max_iter.
+    to tol in the sup norm.  Returns x and the iteration count; NoConvergence,
+    naming the solve ``what``, after MAX_FIXED_POINT_ITER iterations.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tolerance must be finite and positive, got {tol}")
     if guess is not None and not (np.shape(guess) == np.shape(rhs) and np.all(np.isfinite(guess))):
         raise ValidationError(f"guess must be finite, of the shape {np.shape(rhs)} of rhs")
     x, diff = weight * rhs if guess is None else guess, np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_FIXED_POINT_ITER + 1):
         new = weight * (rhs + gain * tangential_velocity(curve, x, operator))
         diff, x = float(np.max(np.abs(new - x))), new
         if diff <= tol:
             return x, iteration
-    raise NoConvergence(max_iter, diff, what=what)
+    raise NoConvergence(MAX_FIXED_POINT_ITER, diff, what=what)
 
-
-def plemelj_velocity(
-    curve: InterfaceCurve, omega: VorticityStrength, j: int, side: str
-) -> Velocity2:
-    """One-sided velocity limit at node j: pv -/+ (omega/2) dz/|dz|^2.
-
-    side='plus' is the limit from above the interface, side='minus' from the
-    strip below; their difference is the tangential jump -omega dz/|dz|^2.
-    """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    mean = pv_boundary_integral(curve, omega, j)
-    d1x, d1y = curve.d1
-    q0 = curve.speed_squared[j]
-    half_jump_u = 0.5 * omega.omega[j] * d1x[j] / q0
-    half_jump_v = 0.5 * omega.omega[j] * d1y[j] / q0
-    sign = -1.0 if side == "plus" else 1.0
-    return Velocity2(mean.u + sign * half_jump_u, mean.v + sign * half_jump_v)

@@ -39,8 +39,6 @@ from .geometry import (
 )
 from .kernels import FIXED_POINT_TOL, VorticityStrength, node_operator, solve_tangential
 
-PICARD_MAX_ITER = 200
-
 
 def _require_muskat(params: PhysicalParams) -> None:
     if params.model is not Model.MUSKAT:
@@ -94,16 +92,16 @@ def solve_vorticity_general(
     Starts from ``guess`` (a nearby curve's strength) or else the equal-viscosity
     formula with the mean viscosity, and iterates the fixed-point map, one apply
     of ``operator`` (the curve's node_operator, built here if not given) each,
-    until successive sup-norm change <= tol.  NoConvergence after PICARD_MAX_ITER
-    iterations signals an under-resolved or extreme-contrast configuration
-    rather than a bug.  The iteration count is attached as ``.iterations``.
+    until successive sup-norm change <= tol.  NoConvergence after
+    kernels.MAX_FIXED_POINT_ITER iterations signals an under-resolved or
+    extreme-contrast configuration rather than a bug.  The iteration count is attached as ``.iterations``.
     """
     _require_muskat(params)
     operator = node_operator(curve) if operator is None else operator
     weight = far_field_mask(curve.grid) / params.viscosity_mean
     omega_arr, iterations = solve_tangential(
         curve, operator, vorticity_rhs(curve, params), params.viscosity_jump, weight,
-        tol=tol, max_iter=PICARD_MAX_ITER, what="viscosity-contrast Picard iteration", guess=guess,
+        tol=tol, what="viscosity-contrast Picard iteration", guess=guess,
     )
     result = VorticityStrength(curve.grid, omega_arr)
     result.iterations = iterations

@@ -48,8 +48,6 @@ from .kernels import (
 
 logger = logging.getLogger(__name__)
 
-MAX_IMPLICIT_ITER = 50
-
 
 def _require_waves(params: PhysicalParams) -> None:
     if params.model is not Model.WATER_WAVES:
@@ -99,7 +97,7 @@ def omega_rhs(
     moving = tangential_velocity_rate(curve, omega.omega, velocity, operator)
     rate, iterations = solve_tangential(
         curve, operator, explicit + 2.0 * a * moving, 2.0 * a,
-        tol=tol, max_iter=MAX_IMPLICIT_ITER, what="implicit omega-rate iteration", guess=guess,
+        tol=tol, what="implicit omega-rate iteration", guess=guess,
     )
     logger.debug("implicit omega rate converged in %d iterations", iterations)
     return rate, velocity

@@ -1,13 +1,15 @@
-"""Shared builders for curve/strength test data, imported by the test modules."""
+"""Shared builders, reference oracles and an in-memory sink, imported by the test modules."""
 
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from contourdyn.analysis import _LIMIT_SWITCH, _flat_tail, _quad_interp
+from contourdyn import kernels
+from contourdyn.analysis import _LIMIT_SWITCH, DepthDiagnostics, _flat_tail, _quad_interp
 from contourdyn.errors import SelfIntersection
 from contourdyn.geometry import (
     CHORD_ARC_BLOCK,
@@ -18,7 +20,7 @@ from contourdyn.geometry import (
     far_field_mask,
     min_depth,
 )
-from contourdyn.kernels import VorticityStrength, diagonal_limit, pv_all_nodes
+from contourdyn.kernels import INV_2PI_I, VorticityStrength, diagonal_limit, node_row, pv_all_nodes
 from contourdyn.muskat import vorticity_rhs
 from contourdyn.profiles import plateau_window
 
@@ -91,6 +93,57 @@ def node_limit(curve: InterfaceCurve, f: np.ndarray, df: np.ndarray) -> np.ndarr
     """The diagonal limit R[f] at every node of ``curve``."""
     (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
     return diagonal_limit(d1x + 1j * d1y, d2x + 1j * d2y, f, df)
+
+
+# velocity_at_point refuses points inside this many grid cells of the curve
+# (scaled by max |dz/dalpha|), where the trapezoid rule loses its accuracy.
+NEAR_FIELD_CELLS = 3.0
+
+
+def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> np.ndarray:
+    """(u, v) at a point strictly off the curve: the trapezoid rule on the program's pair kernel.
+
+    The off-curve oracle of the one-sided limits.  Raises ValueError inside
+    the near-field collar, where the rule is silently inaccurate.
+    """
+    t = complex(float(p[0]), float(p[1]))
+    dist = float(np.min(np.abs(t - curve.z)))
+    tol = NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
+    if dist < tol:
+        raise ValueError(f"point at distance {dist:.3e} from the curve, inside the collar {tol:.3e}")
+    rows = kernels._sheet_rows(kernels._source_columns(curve), [t])
+    w = kernels._apply(rows, omega.omega * curve.sheet_scale)[0]
+    return np.array([w.real, -w.imag])
+
+
+def pv_at_node(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> np.ndarray:
+    """pv_all_nodes' (u, v) at node j alone, from node j's row: O(N), not O(N^2)."""
+    far = kernels._apply(node_row(curve, j)[:, None], omega.omega * curve.sheet_scale)[0]
+    limit = node_limit(curve, omega.omega, omega.d1)[j]
+    w = far + curve.grid.trapezoid_weights[j] * limit * INV_2PI_I
+    return np.array([w.real, -w.imag])
+
+
+def one_sided_limits(curve: InterfaceCurve, omega: VorticityStrength,
+                     j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The velocity limits at node j from above and from below: pv -/+ (omega/2) z'/|z'|^2."""
+    half_jump = 0.5 * omega.omega[j] * curve.dz[j] / curve.speed_squared[j]
+    pv, jump = pv_at_node(curve, omega, j), np.array([half_jump.real, half_jump.imag])
+    return pv - jump, pv + jump
+
+
+@dataclass
+class MemorySink:
+    """Keeps a run's diagnostics rows and snapshots in memory."""
+
+    diagnostics: list[DepthDiagnostics] = field(default_factory=list)
+    snapshots: list[tuple[float, InterfaceCurve, VorticityStrength]] = field(default_factory=list)
+
+    def on_diagnostics(self, diag: DepthDiagnostics) -> None:
+        self.diagnostics.append(diag)
+
+    def on_snapshot(self, t: float, curve: InterfaceCurve, omega: VorticityStrength) -> None:
+        self.snapshots.append((t, curve, omega))
 
 
 def cauchy_pair(

@@ -97,7 +97,7 @@ class TestDepthRate:
     def test_against_time_difference(self, grid256):
         # dm/dt from the quadrature tracks the observed depth change of a run
         from contourdyn.evolve import SimConfig, SimState, run
-        from contourdyn.io import MemorySink
+        from support import MemorySink
 
         params = PhysicalParams(model=Model.MUSKAT, rho_plus=1.0, rho_minus=2.0)
         w = plateau_window(grid256.alpha, 5.0, 5.0)

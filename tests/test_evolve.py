@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contourdyn import muskat, waterwaves
+from contourdyn import kernels, muskat, waterwaves
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config
 from contourdyn.errors import BottomContact, StabilityFailure, ValidationError
@@ -14,10 +14,9 @@ from contourdyn.evolve import SimConfig, SimState, pv_all_nodes, run, step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask, min_depth
 from contourdyn.kernels import VorticityStrength, node_operator, solve_tangential
 from contourdyn.muskat import solve_vorticity_equal
-from contourdyn.io import MemorySink
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import bump_curve, gaussian_strength
+from support import MemorySink, bump_curve, gaussian_strength
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONTRAST = {"mu_plus": 2.0, "mu_minus": 0.5}
@@ -266,6 +265,22 @@ class TestRun:
         for (ta, ca, _), (tb, cb, _) in zip(a.snapshots, b.snapshots):
             assert ta == tb
             assert np.array_equal(ca.z1, cb.z1) and np.array_equal(ca.z2, cb.z2)
+
+    def test_no_convergence_reported_not_raised(self, monkeypatch):
+        # a closure solve that runs out of iterations ends the run at step 0,
+        # and the initial state, solved under the full cap, is still written
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        sim = dataclasses.replace(parsed.sim, params=dataclasses.replace(parsed.sim.params, **CONTRAST))
+        state = initial_state(dataclasses.replace(parsed, sim=sim))
+        monkeypatch.setattr(kernels, "MAX_FIXED_POINT_ITER", 1)
+        sink = MemorySink()
+        summary = run(sim, state, [sink])
+        assert summary.status == "no_convergence" and summary.steps_completed == 0
+        assert "after 1 iterations" in summary.message
+        assert len(sink.diagnostics) == 1 and len(sink.snapshots) == 1
+        t, curve, omega = sink.snapshots[0]
+        assert t == 0.0 and np.array_equal(curve.z2, state.curve.z2)
+        assert np.array_equal(omega.omega, state.omega.omega)
 
     def test_contact_reported_not_raised(self, grid256):
         params = stable_params(rho_plus=2.0 * np.pi, rho_minus=0.0)

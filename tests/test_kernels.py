@@ -1,4 +1,4 @@
-"""Singular-integral core: mirror kernel, principal values, one-sided limits."""
+"""Singular-integral core: mirror kernel, principal values, the off-curve oracle."""
 
 import dataclasses
 import os
@@ -18,20 +18,23 @@ from contourdyn import kernels
 from contourdyn.analysis import identity_defect
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config, with_grid
-from contourdyn.errors import TooCloseToCurve, ValidationError
+from contourdyn.errors import ValidationError
 from contourdyn.evolve import step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
-from contourdyn.kernels import (
-    VorticityStrength,
-    plemelj_velocity,
-    pv_all_nodes,
-    pv_boundary_integral,
-    velocity_at_point,
-)
+from contourdyn.kernels import VorticityStrength, pv_all_nodes
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import bump_curve, gaussian_strength, node_limit, random_smooth_pair, traced_peak
+from support import (
+    bump_curve,
+    gaussian_strength,
+    node_limit,
+    one_sided_limits,
+    pv_at_node,
+    random_smooth_pair,
+    traced_peak,
+    velocity_at_point,
+)
 
 
 def flat_curve(grid: Grid) -> InterfaceCurve:
@@ -43,7 +46,7 @@ class TestVelocityAtPoint:
         curve = bump_curve(grid256, 0.2)
         omega = VorticityStrength(grid256, np.zeros(grid256.node_count))
         vel = velocity_at_point(curve, omega, (0.3, 0.2))
-        assert vel == (0.0, 0.0)
+        assert np.all(vel == 0.0)
 
     def test_bottom_impermeability_exact(self, grid256):
         rng = np.random.default_rng(7)
@@ -51,7 +54,7 @@ class TestVelocityAtPoint:
             curve, omega = random_smooth_pair(grid256, rng)
             for x in rng.uniform(-10.0, 10.0, size=5):
                 vel = velocity_at_point(curve, omega, (float(x), 0.0))
-                assert abs(vel.v) <= 1e-14
+                assert abs(vel[1]) <= 1e-14
 
     def test_point_vortex_with_mirror_limit(self):
         # unit-mass strength shrinking to a point reproduces the closed-form
@@ -73,14 +76,14 @@ class TestVelocityAtPoint:
             om = np.exp(-g.alpha**2 / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
             om = np.where(g.band_mask, 0.0, om)
             vel = velocity_at_point(curve, VorticityStrength(g, om), p)
-            errs.append(float(np.max(np.abs(np.array(vel) - expect))))
+            errs.append(float(np.max(np.abs(vel - expect))))
         assert errs[-1] < 1e-3
         assert errs[0] > errs[-1]
 
     def test_near_field_refused(self, grid256):
         curve = bump_curve(grid256, 0.2)
         omega = gaussian_strength(grid256)
-        with pytest.raises(TooCloseToCurve):
+        with pytest.raises(ValueError, match="inside the collar"):
             velocity_at_point(curve, omega, (0.0, float(curve.z2[grid256.node_count // 2])))
 
     def test_translation_equivariance(self, grid256):
@@ -97,7 +100,8 @@ class TestPvBoundaryIntegral:
     def test_zero_omega(self, grid256):
         curve = bump_curve(grid256, 0.3)
         omega = VorticityStrength(grid256, np.zeros(grid256.node_count))
-        assert pv_boundary_integral(curve, omega, 100) == (0.0, 0.0)
+        u, v = pv_all_nodes(curve, omega)
+        assert u[100] == 0.0 and v[100] == 0.0
 
     def test_flat_constant_window_vertical_vanishes(self, grid512):
         # constant strength on the window: the singular (first) kernel is odd
@@ -107,8 +111,8 @@ class TestPvBoundaryIntegral:
         curve = flat_curve(g)
         w = plateau_window(g.alpha, 6.0, 6.0)
         omega = VorticityStrength(g, 0.7 * w)
-        vel = pv_boundary_integral(curve, omega, g.node_count // 2)
-        assert abs(vel.v) <= 1e-10
+        _, v = pv_all_nodes(curve, omega)
+        assert abs(v[g.node_count // 2]) <= 1e-10
 
     def test_against_cauchy_quadrature_oracle(self):
         # flat curve: vertical = (1/2pi) [ PV int om/(a-s) ds - mirror part ],
@@ -131,9 +135,9 @@ class TestPvBoundaryIntegral:
         )
         expect_v = (-pv_part - mirror_v) / (2.0 * np.pi)
         expect_u = mirror_u / (2.0 * np.pi)
-        vel = pv_boundary_integral(curve, omega, j)
-        assert vel.v == pytest.approx(expect_v, abs=5e-9)
-        assert vel.u == pytest.approx(expect_u, abs=5e-9)
+        u, v = pv_all_nodes(curve, omega)
+        assert v[j] == pytest.approx(expect_v, abs=5e-9)
+        assert u[j] == pytest.approx(expect_u, abs=5e-9)
 
     def test_fine_grid_oracle_perturbed_curve(self):
         # same rule on a 16x refined grid as the reference value
@@ -147,7 +151,7 @@ class TestPvBoundaryIntegral:
             om = np.exp(-g.alpha**2) * w
             omega = VorticityStrength(g, om)
             j = n // 2 + n // 16  # same alpha on both grids
-            vals[n] = np.array(pv_boundary_integral(curve, omega, j))
+            vals[n] = np.array(pv_all_nodes(curve, omega))[:, j]
         scale = max(1e-3, float(np.max(np.abs(vals[fine_n]))))
         rel = float(np.max(np.abs(vals[coarse_n] - vals[fine_n]))) / scale
         assert rel <= 1e-4
@@ -159,7 +163,7 @@ class TestPvBoundaryIntegral:
             w = plateau_window(g.alpha, 5.0, 5.0)
             curve = InterfaceCurve(g, g.alpha.copy(), 1.0 + 0.1 * np.cos(g.alpha) * w)
             omega = VorticityStrength(g, np.exp(-((g.alpha - 0.4) ** 2)) * w)
-            vals[n] = np.array(pv_boundary_integral(curve, omega, n // 2 + n // 16))
+            vals[n] = np.array(pv_all_nodes(curve, omega))[:, n // 2 + n // 16]
         ref = vals[4096]
         e1 = float(np.max(np.abs(vals[256] - ref)))
         e2 = float(np.max(np.abs(vals[512] - ref)))
@@ -167,22 +171,23 @@ class TestPvBoundaryIntegral:
         assert order >= 2.0
 
     def test_matches_batched_evaluation(self, grid256):
+        # the single-node oracle of the one-sided limits is the program's pv
         curve = bump_curve(grid256, 0.25)
         omega = gaussian_strength(grid256, amplitude=0.8, center=0.7)
         u, v = pv_all_nodes(curve, omega)
         for j in (10, 64, 128, 200):
-            vel = pv_boundary_integral(curve, omega, j)
-            assert vel.u == pytest.approx(u[j], rel=1e-13, abs=1e-15)
-            assert vel.v == pytest.approx(v[j], rel=1e-13, abs=1e-15)
+            vel = pv_at_node(curve, omega, j)
+            assert vel[0] == pytest.approx(u[j], rel=1e-13, abs=1e-15)
+            assert vel[1] == pytest.approx(v[j], rel=1e-13, abs=1e-15)
 
     def test_out_of_range_node_rejected(self, grid256):
         curve = bump_curve(grid256, 0.3)
         omega = gaussian_strength(grid256)
         for j in (-1, grid256.node_count):
             with pytest.raises(IndexError):
-                pv_boundary_integral(curve, omega, j)
+                kernels.node_row(curve, j)
             with pytest.raises(IndexError):
-                plemelj_velocity(curve, omega, j, "plus")
+                pv_at_node(curve, omega, j)
             with pytest.raises(IndexError):
                 identity_defect(curve, j)
 
@@ -190,45 +195,10 @@ class TestPvBoundaryIntegral:
         curve = bump_curve(grid256, 0.2)
         omega = VorticityStrength(grid512, np.zeros(grid512.node_count))
         with pytest.raises(ValidationError):
-            pv_boundary_integral(curve, omega, 0)
+            pv_all_nodes(curve, omega)
 
 
 class TestPlemelj:
-    def test_jump_identity(self, grid256):
-        curve = bump_curve(grid256, 0.2)
-        omega = gaussian_strength(grid256, amplitude=1.3)
-        d1x, d1y = curve.d1
-        for j in (100, 128, 160):
-            plus = plemelj_velocity(curve, omega, j, "plus")
-            minus = plemelj_velocity(curve, omega, j, "minus")
-            q0 = d1x[j] ** 2 + d1y[j] ** 2
-            expect_u = -omega.omega[j] * d1x[j] / q0
-            expect_v = -omega.omega[j] * d1y[j] / q0
-            assert plus.u - minus.u == pytest.approx(expect_u, rel=1e-12, abs=1e-15)
-            assert plus.v - minus.v == pytest.approx(expect_v, rel=1e-12, abs=1e-15)
-
-    def test_unit_jump_at_unit_speed(self):
-        # flat curve, omega(j) = 1: tangential jump is exactly -1
-        g = Grid(20.0, 256)
-        curve = flat_curve(g)
-        w = plateau_window(g.alpha, 5.0, 5.0)
-        omega = VorticityStrength(g, w)  # equals 1 on the plateau
-        j = g.node_count // 2
-        assert omega.omega[j] == 1.0
-        plus = plemelj_velocity(curve, omega, j, "plus")
-        minus = plemelj_velocity(curve, omega, j, "minus")
-        assert plus.u - minus.u == pytest.approx(-1.0, abs=1e-14)
-
-    def test_normal_velocity_continuous(self, grid256):
-        curve = bump_curve(grid256, 0.3)
-        omega = gaussian_strength(grid256, amplitude=0.9)
-        d1x, d1y = curve.d1
-        for j in (90, 128, 170):
-            plus = plemelj_velocity(curve, omega, j, "plus")
-            minus = plemelj_velocity(curve, omega, j, "minus")
-            jump_normal = (plus.u - minus.u) * (-d1y[j]) + (plus.v - minus.v) * d1x[j]
-            assert abs(jump_normal) <= 1e-14
-
     def test_one_sided_limit_consistency(self):
         # off-curve velocity approaches the plus limit at first order in the
         # offset; the grid is fine enough that quadrature error stays beneath
@@ -243,21 +213,15 @@ class TestPlemelj:
         nx, ny = -d1y[j], d1x[j]
         norm = np.hypot(nx, ny)
         nx, ny = nx / norm, ny / norm
-        limit = np.array(plemelj_velocity(curve, omega, j, "plus"))
+        limit, _ = one_sided_limits(curve, omega, j)
         eps_list = np.geomspace(1e-3, 1e-1, 7)
         errs = []
         for eps in eps_list:
             p = (curve.z1[j] + eps * nx, curve.z2[j] + eps * ny)
-            vel = np.array(velocity_at_point(curve, omega, p))
+            vel = velocity_at_point(curve, omega, p)
             errs.append(float(np.max(np.abs(vel - limit))))
         slope = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])
         assert slope >= 0.9
-
-    def test_bad_side(self, grid256):
-        curve = bump_curve(grid256, 0.2)
-        omega = gaussian_strength(grid256)
-        with pytest.raises(ValueError):
-            plemelj_velocity(curve, omega, 10, "above")
 
 
 @settings(max_examples=15, deadline=None)
@@ -268,8 +232,8 @@ def test_pv_translation_equivariance(shift):
     curve = InterfaceCurve(g, g.alpha.copy(), 1.0 + 0.2 * np.cos(g.alpha) * w)
     omega = VorticityStrength(g, np.exp(-(g.alpha**2)) * w)
     shifted = InterfaceCurve(g, curve.z1 + shift, curve.z2, validate=False)
-    v0 = np.array(pv_boundary_integral(curve, omega, 64))
-    v1 = np.array(pv_boundary_integral(shifted, omega, 64))
+    v0 = np.array(pv_all_nodes(curve, omega))[:, 64]
+    v1 = np.array(pv_all_nodes(shifted, omega))[:, 64]
     assert np.allclose(v0, v1, rtol=0.0, atol=1e-11)
 
 
@@ -387,9 +351,6 @@ class TestOneOperator:
             op = kernels.node_operator(curve)
             velocity = pv_all_nodes(curve, omega, op)
             kernels.tangential_velocity_rate(curve, omega.omega, velocity, op)
-            pv_boundary_integral(curve, omega, 128)
-            plemelj_velocity(curve, omega, 100, "plus")
-            velocity_at_point(curve, omega, (0.5, 3.0))
             identity_defect(curve)
 
     @pytest.mark.skipif(

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contourdyn import kernels
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config, with_grid
-from contourdyn.errors import ValidationError
+from contourdyn.errors import NoConvergence, ValidationError
 from contourdyn.geometry import (
     Grid,
     InterfaceCurve,
@@ -213,6 +214,14 @@ class TestGeneralViscosity:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValidationError):
             solve_vorticity_general(self.trough(0.2), muskat_params(mu_plus=2.0), tol=tol)
+
+    def test_no_convergence_after_the_cap(self, monkeypatch):
+        # the one cap of both closures, read when the solve runs
+        monkeypatch.setattr(kernels, "MAX_FIXED_POINT_ITER", 1)
+        params = muskat_params(mu_plus=2.0, mu_minus=0.5)
+        with pytest.raises(NoConvergence, match="viscosity-contrast Picard") as raised:
+            solve_vorticity_general(self.trough(0.2), params)
+        assert raised.value.iterations == 1
 
     @pytest.mark.parametrize("guess", [np.zeros(255), np.full(256, np.nan), np.full(256, np.inf)])
     def test_rejects_bad_guess(self, guess):

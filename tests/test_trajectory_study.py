@@ -13,11 +13,10 @@ import pytest
 from contourdyn.analysis import fit_double_exponential, log_bound_ratio
 from contourdyn.evolve import SimConfig, SimState, run
 from contourdyn.geometry import Grid, Model, PhysicalParams
-from contourdyn.io import MemorySink
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial
 
-from support import scipy_double_exponential
+from support import MemorySink, scipy_double_exponential
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,14 @@
 """Sheet-strength evolution for the irrotational two-phase system."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from contourdyn import kernels
+from contourdyn.cli import initial_state
+from contourdyn.config import parse_config
 from contourdyn.errors import ValidationError
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, fd_derivative
 from contourdyn.kernels import (
@@ -13,9 +18,12 @@ from contourdyn.kernels import (
     tangential_velocity,
     tangential_velocity_rate,
 )
+from contourdyn.evolve import run
 from contourdyn.waterwaves import bracket_term, omega_rhs
 
 from support import bump_curve, gaussian_strength
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def wave_params(**kw) -> PhysicalParams:
@@ -36,6 +44,15 @@ def bracket(curve: InterfaceCurve, omega: VorticityStrength, params: PhysicalPar
 
 def wave_state(grid: Grid, amplitude: float = 0.05, omega_amp: float = 0.1):
     return bump_curve(grid, amplitude), gaussian_strength(grid, amplitude=omega_amp)
+
+
+def resubstitution_gap(curve, omega, params, rate, velocity) -> float:
+    """max |explicit + 2A (d_zdot(V . T)[omega] + T.K rate) - rate|: 0 for the exact rate."""
+    op = node_operator(curve)
+    explicit = -fd_derivative(bracket_term(curve, omega, velocity, params), curve.grid.spacing, 1)
+    moving = tangential_velocity_rate(curve, omega.omega, velocity, op)
+    resub = explicit + 2.0 * params.atwood * (moving + tangential_velocity(curve, rate, op))
+    return float(np.max(np.abs(resub - rate)))
 
 
 class TestBracket:
@@ -116,13 +133,8 @@ class TestOmegaRhs:
         # the converged rate solves (I - 2A T.K) rate = explicit + 2A d_zdot(V . T)
         params = wave_params()
         curve, omega = wave_state(grid256)
-        op = node_operator(curve)
         rate, velocity = omega_rhs(curve, omega, params, tol=1e-12)
-        explicit = -fd_derivative(bracket_term(curve, omega, velocity, params), grid256.spacing, 1)
-        moving = tangential_velocity_rate(curve, omega.omega, velocity, op)
-        gain = 2.0 * params.atwood
-        resub = explicit + gain * (moving + tangential_velocity(curve, rate, op))
-        assert np.max(np.abs(resub - rate)) <= 1e-10
+        assert resubstitution_gap(curve, omega, params, rate, velocity) <= 1e-10
 
     def test_warm_start(self, grid256):
         # from a nearby state's rate the same stop rule resubstitutes to
@@ -130,15 +142,11 @@ class TestOmegaRhs:
         params = wave_params()
         curve, omega = wave_state(grid256)
         nearby = (bump_curve(grid256, 0.045), gaussian_strength(grid256, amplitude=0.11))
-        op = node_operator(curve)
         tol = 1e-10
         cold, velocity = omega_rhs(curve, omega, params, tol=tol)
         guess, _ = omega_rhs(*nearby, params, tol=tol)
         warm, _ = omega_rhs(curve, omega, params, tol=tol, guess=guess)
-        explicit = -fd_derivative(bracket_term(curve, omega, velocity, params), grid256.spacing, 1)
-        moving = tangential_velocity_rate(curve, omega.omega, velocity, op)
-        resub = explicit + 2.0 * params.atwood * (moving + tangential_velocity(curve, warm, op))
-        assert np.max(np.abs(resub - warm)) <= 10.0 * tol
+        assert resubstitution_gap(curve, omega, params, warm, velocity) <= 10.0 * tol
         assert np.max(np.abs(warm - cold)) <= 1e-9
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
@@ -156,6 +164,23 @@ class TestOmegaRhs:
         omega = gaussian_strength(Grid(20.0, 128), amplitude=0.1)
         with pytest.raises(ValidationError):
             omega_rhs(curve, omega, wave_params())
+
+
+class TestFreeSurface:
+    def test_free_surface_runs(self):
+        # rho_+ = 0 (A = -1), the classical water wave: the rate's fixed-point
+        # map contracts by about 0.9 per iteration, so a cold solve takes up
+        # to 96 of kernels.MAX_FIXED_POINT_ITER iterations
+        parsed = parse_config(str(CONFIGS / "internal_wave.cfg"))
+        params = dataclasses.replace(parsed.sim.params, rho_plus=0.0)
+        sim = dataclasses.replace(parsed.sim, params=params, t_end=25 * parsed.sim.dt)
+        state = initial_state(dataclasses.replace(parsed, sim=sim))
+        assert params.atwood == -1.0 and sim.grid.node_count == 256
+        tol = kernels.FIXED_POINT_TOL
+        rate, velocity = omega_rhs(state.curve, state.omega, params, tol=tol)
+        assert resubstitution_gap(state.curve, state.omega, params, rate, velocity) <= 10.0 * tol
+        summary = run(sim, state)
+        assert summary.status == "completed" and summary.steps_completed == 25
 
 
 class TestTangentialVelocityRate:
