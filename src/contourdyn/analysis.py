@@ -36,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailure, OutOfRegime
-from .geometry import (
-    DECAY_TOL,
-    FloatArray,
-    InterfaceCurve,
-    PhysicalParams,
-    holder_norms,
-    min_depth,
-)
+from .geometry import DECAY_TOL, FloatArray, InterfaceCurve, PhysicalParams
 from .kernels import (
     VorticityStrength, _require_shared_grid, _sheet_rows, _source_columns, diagonal_limit, node_row
 )
@@ -119,7 +112,7 @@ def depth_rate(
     grid = curve.grid
     alpha = grid.alpha
     h = grid.spacing
-    md = min_depth(curve)
+    md = curve.min_depth
     m = md.m
     a_star = md.alpha_star if alpha_star is None else float(alpha_star)
     jc = int(np.clip(round((a_star + grid.half_width) / h), 1, grid.node_count - 2))
@@ -167,7 +160,7 @@ def depth_rate(
     j_total = j_near + j_mid + j_far
     dmdt = j_total / TWO_PI
 
-    c0, c1, c2 = holder_norms(curve)
+    c0, c1, c2 = curve.holder_norms
     om_c0 = float(np.max(np.abs(omega.omega)))
     om_c1 = max(om_c0, float(np.max(np.abs(omega.d1))))
     chord = curve.chord_arc
@@ -234,7 +227,7 @@ def identity_defect(curve: InterfaceCurve, j_star: int | None = None) -> tuple[f
     whose 1/distance decay dominates the truncation error if dropped.
     """
     if j_star is None:
-        j_star = min_depth(curve).index
+        j_star = curve.min_depth.index
     row = node_row(curve, j_star)
     (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
     dz, d2z = d1x[j_star] + 1j * d1y[j_star], d2x[j_star] + 1j * d2y[j_star]
@@ -358,7 +351,7 @@ def continuation_report(
 ) -> ContinuationReport:
     """Collect every continuation-hypothesis quantity and flag exceeded caps."""
     _ = params  # physics currently informs no extra hypothesis quantity
-    c0, c1, c2 = holder_norms(curve)
+    c0, c1, c2 = curve.holder_norms
     om_c0 = float(np.max(np.abs(omega.omega)))
     _, diag = depth_rate(curve, omega, t=t)
     try:

@@ -54,9 +54,9 @@ def initial_state(parsed: ParsedConfig) -> SimState:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
+    state = initial_state(parsed)  # before the directory: a failed closure leaves none
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    state = initial_state(parsed)
     with open(outdir / "diagnostics.csv", "w", encoding="utf-8") as diag_fh, open(
         outdir / "snapshots.jsonl", "w", encoding="utf-8"
     ) as snap_fh:

@@ -34,16 +34,7 @@ import numpy as np
 from . import muskat, waterwaves
 from .analysis import BLOWUP_CAP, CHORD_ARC_CAP, DepthDiagnostics, depth_rate
 from .errors import BottomContact, ContourError, NoConvergence, StabilityFailure, ValidationError
-from .geometry import (
-    FloatArray,
-    Grid,
-    InterfaceCurve,
-    Model,
-    PhysicalParams,
-    far_field_mask,
-    holder_norms,
-    min_depth,
-)
+from .geometry import FloatArray, Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask
 from .kernels import VorticityStrength, pv_all_nodes
 
 logger = logging.getLogger(__name__)
@@ -143,10 +134,10 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatAr
     if not np.all(np.isfinite(y)):
         raise StabilityFailure(t_new, "state", float("nan"))
     curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-    md = min_depth(curve)
-    if md.m <= config.contact_tol:
-        raise BottomContact(t_new, md.m)
-    worst = max(holder_norms(curve))
+    m = curve.min_depth.m
+    if m <= config.contact_tol:
+        raise BottomContact(t_new, m)
+    worst = max(curve.holder_norms)
     if worst > BLOWUP_CAP:
         raise StabilityFailure(t_new, "curve C2 norm", worst)
     if curve.chord_arc > CHORD_ARC_CAP:
@@ -262,7 +253,7 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
         status=status,
         t_final=state.t,
         steps_completed=steps_done,
-        final_min_depth=min_depth(state.curve).m,
+        final_min_depth=state.curve.min_depth.m,
         diagnostics_rows=steps_done + 1,  # the initial state and every accepted step
         message=message,
     )

@@ -3,7 +3,8 @@
 Every file starts with a header block recording the tool version and the
 SHA-256 of the canonical configuration, so identical configurations produce
 byte-identical files.  Floats are written with shortest round-trip repr,
-which preserves full double precision.
+which preserves full double precision; snapshot samples are base64 of their
+float64 bytes (geometry.curve_record), so they round-trip bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ CSV_COLUMNS = (
 )
 
 SNAPSHOT_FORMAT = "contourdyn.snapshots"
+SNAPSHOT_FORMAT_VERSION = 2
 DIAGNOSTICS_FORMAT = "contourdyn.diagnostics"
 
 
@@ -59,11 +61,12 @@ class DiagnosticsCsvSink:
 
 
 class SnapshotJsonlSink:
-    """Streams curve snapshots as JSON Lines records {t, alpha, z1, z2}."""
+    """Streams curve snapshots as JSON Lines records {t, half_width, z1, z2}."""
 
     def __init__(self, fh: IO[str], config_sha256: str, version: str):
         self._fh = fh
-        header = {"format": SNAPSHOT_FORMAT, "version": version, "config_sha256": config_sha256}
+        header = {"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_FORMAT_VERSION}
+        header.update(version=version, config_sha256=config_sha256)
         fh.write(json.dumps(header) + "\n")
 
     def on_diagnostics(self, diag: DepthDiagnostics) -> None:
@@ -96,20 +99,26 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
 
 
 def read_snapshots(path: str) -> list[tuple[float, InterfaceCurve]]:
-    """Read snapshot records; the header line is validated and skipped."""
+    """Read snapshot records after the header on line 1, which must name this format version."""
     out: list[tuple[float, InterfaceCurve]] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for k, line in enumerate(fh):
-                line = line.strip()
-                if not line:
+                if k > 0 and not line.strip():
                     continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValidationError(f"snapshot line {k + 1} in {path!r} is not a JSON object")
-                if k == 0 and record.get("format") == SNAPSHOT_FORMAT:
+                if k > 0:
+                    out.append(curve_from_record(record))
                     continue
-                out.append(curve_from_record(record))
+                found = record.get("format"), record.get("format_version")
+                if found != (SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_VERSION):
+                    raise ValidationError(
+                        f"{path!r} is not a {SNAPSHOT_FORMAT} file of format version "
+                        f"{SNAPSHOT_FORMAT_VERSION}: line 1 has format {found[0]!r}, "
+                        f"format_version {found[1]!r}"
+                    )
     except OSError as exc:
         raise ValidationError(f"cannot read snapshots {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:

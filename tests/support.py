@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,18 @@ from contourdyn.geometry import (
 from contourdyn.kernels import INV_2PI_I, VorticityStrength, diagonal_limit, node_row, pv_all_nodes
 from contourdyn.muskat import vorticity_rhs
 from contourdyn.profiles import plateau_window
+
+
+def count_calls(monkeypatch, module, names) -> Counter:
+    """Count the calls of each ``module.<name>`` from here on, keyed by name."""
+    calls: Counter = Counter()
+    for name in names:
+        def counted(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def bump_curve(grid: Grid, amplitude: float, flat: float = 5.0, ramp: float = 5.0,

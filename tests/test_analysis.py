@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from contourdyn import analysis
+from contourdyn import analysis, geometry
 from contourdyn.analysis import (
     BLOWUP_CAP,
     continuation_report,
@@ -21,6 +21,7 @@ from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
 from support import (
     bump_curve,
+    count_calls,
     gaussian_strength,
     node_limit,
     p_form_depth_rate,
@@ -373,6 +374,14 @@ class TestContinuationReport:
         assert report.m == pytest.approx(0.05, abs=1e-6)
         assert report.bound_ratio is not None and report.bound_ratio >= 0.0
         assert np.isfinite(report.curve_c2)
+
+    def test_norms_and_depth_once_per_curve(self, grid256, monkeypatch):
+        # what analyze asks of one curve: the report, its depth rate and the identity
+        calls = count_calls(monkeypatch, geometry, ["holder_norms", "min_depth"])
+        curve = pinch_curve(grid256, 0.1)
+        continuation_report(curve, gaussian_strength(grid256), PhysicalParams(model=Model.MUSKAT))
+        identity_defect(curve)
+        assert calls == {"holder_norms": 1, "min_depth": 1}
 
     def test_deterministic(self, grid256):
         params = PhysicalParams(model=Model.MUSKAT)

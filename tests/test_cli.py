@@ -223,6 +223,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "NoConvergence"
+        assert not (tmp_path / "o").exists()  # the initial closure failed: no output directory
 
     def test_terminal_event_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "contact.cfg"
@@ -350,10 +351,11 @@ class TestAnalyze:
         from contourdyn.cli import initial_state
         from contourdyn.config import parse_config
         from contourdyn.geometry import curve_record
-        from contourdyn.io import SNAPSHOT_FORMAT
+        from contourdyn.io import SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_VERSION
 
         good = curve_record(initial_state(parse_config(stable_cfg)).curve, 0.0)
-        header = {"format": SNAPSHOT_FORMAT} if header is None else header
+        if header is None:
+            header = {"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_FORMAT_VERSION}
         path = tmp_path / "snapshots.jsonl"
         lines = (header, good if record is None else record)
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
@@ -373,22 +375,38 @@ class TestAnalyze:
         assert record["error"] == "ValidationError"
         assert "line 2" in record["detail"]
 
-    @pytest.mark.parametrize("key", ["alpha", "z1", "z2"])
-    def test_non_numeric_samples_exit_code(self, stable_cfg, tmp_path, capsys, key):
-        from contourdyn.geometry import Grid
+    @staticmethod
+    def flat_record(t: float) -> dict:
+        """A snapshot record of the flat state on 32 nodes at time t."""
+        from contourdyn.geometry import Grid, InterfaceCurve, curve_record
 
-        bad = {"t": 0.0, "alpha": Grid(20.0, 32).alpha.tolist(), "z1": [0.0] * 32, "z2": [1.0] * 32}
+        grid = Grid(20.0, 32)
+        return curve_record(InterfaceCurve(grid, grid.alpha, np.ones(32)), t)
+
+    @pytest.mark.parametrize("key", ["half_width", "z1", "z2"])
+    def test_non_numeric_samples_exit_code(self, stable_cfg, tmp_path, capsys, key):
+        bad = self.flat_record(0.0)
         bad[key] = ["x"] * 32
         code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, record=bad)
         assert code == 2
         assert record["error"] == "ValidationError"
         assert "not numeric" in record["detail"]
 
+    def test_format_version_1_file_exit_code(self, stable_cfg, tmp_path, capsys):
+        # the earlier file: no format_version, and {t, alpha, z1, z2} as JSON numbers
+        from contourdyn.geometry import Grid
+        from contourdyn.io import SNAPSHOT_FORMAT
+
+        header = {"format": SNAPSHOT_FORMAT, "version": "0.1.0", "config_sha256": "0" * 64}
+        old = {"t": 0.0, "alpha": Grid(20.0, 32).alpha.tolist(), "z1": [0.0] * 32, "z2": [1.0] * 32}
+        code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, header=header, record=old)
+        assert code == 2
+        assert record["error"] == "ValidationError"
+        assert "format version 2" in record["detail"]
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_time_exit_code(self, stable_cfg, tmp_path, capsys, t):
-        from contourdyn.geometry import Grid
-
-        bad = {"t": t, "alpha": Grid(20.0, 32).alpha.tolist(), "z1": [0.0] * 32, "z2": [1.0] * 32}
+        bad = self.flat_record(t)
         code, record = self.analyze_lines(stable_cfg, tmp_path, capsys, record=bad)
         assert code == 2
         assert record["error"] == "ValidationError"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contourdyn import kernels, muskat, waterwaves
+from contourdyn import geometry, kernels, muskat, waterwaves
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config
 from contourdyn.errors import BottomContact, StabilityFailure, ValidationError
@@ -16,7 +16,7 @@ from contourdyn.kernels import VorticityStrength, node_operator, solve_tangentia
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import MemorySink, bump_curve, gaussian_strength
+from support import MemorySink, bump_curve, count_calls, gaussian_strength
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONTRAST = {"mu_plus": 2.0, "mu_minus": 0.5}
@@ -324,6 +324,15 @@ class TestRun:
             d1y = curve.d1[1]
             expect = params.density_jump * params.g * d1y / params.mu_plus
             assert np.allclose(omega.omega, expect, atol=1e-14)
+
+    def test_norms_and_depth_once_per_state(self, grid256, monkeypatch):
+        # the acceptance checks, the diagnostics row and the summary share them
+        cfg = SimConfig(params=stable_params(), grid=grid256, dt=0.01, t_end=0.03)
+        state = trough_state(grid256, stable_params())
+        calls = count_calls(monkeypatch, geometry, ["holder_norms", "min_depth"])
+        summary = run(cfg, state, [MemorySink()])
+        assert summary.steps_completed == 3
+        assert calls == {"holder_norms": 4, "min_depth": 4}  # the initial state and 3 steps
 
     def test_snapshots_carry_samples_only(self, grid256):
         # a sink that keeps snapshots pins the samples, not the derived arrays

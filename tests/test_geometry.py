@@ -27,7 +27,7 @@ from contourdyn.geometry import (
     holder_norms,
     min_depth,
 )
-from contourdyn.profiles import plateau_window
+from contourdyn.profiles import build_initial, plateau_window
 
 from support import blocked_chord_arc, bump_curve, traced_peak
 
@@ -379,9 +379,11 @@ class TestChordArc:
         return max(stops)
 
     def test_pinch_stops_after_one_block(self, monkeypatch):
+        # offset 1's ratio already passes the stop test at K* = 8, so the
+        # first block, and the pass, end at offset 7
         parsed = with_grid(parse_config(str(CONFIGS / "unstable_pinch.cfg")), 2048)
         curve = initial_state(parsed).curve
-        assert self.offsets_read(monkeypatch, curve) == 1 + CHORD_ARC_BLOCK
+        assert self.offsets_read(monkeypatch, curve) == 8
 
     def test_stepped_relaxation_stops_early(self, monkeypatch):
         parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), 2048)
@@ -407,6 +409,28 @@ class TestChordArc:
         curve = InterfaceCurve(g, z1, z2, validate=False)
         message = chord_arc_outcome(blocked_chord_arc, curve)
         assert message.startswith(f"SelfIntersection: nodes 140 and {140 + b0 + 18} ")
+        assert chord_arc_outcome(chord_arc_constant, curve) == message
+
+
+    @pytest.mark.parametrize(
+        "pairs, closest",
+        [
+            ([(300, 1, 5e-11), (500, 12, 1e-12)], (500, 512)),
+            ([(300, 3, 1e-12), (500, 12, 3e-12), (700, 40, 0.0)], (300, 303)),
+        ],
+        ids=["offset-1", "offsets-3-12"],
+    )
+    def test_collision_report_straddling_the_first_stop(self, pairs, closest):
+        # on the 2048-node pinch the first block ends at offset 7 (K* = 8);
+        # colliding offsets on both sides of it must still name the oracle's pair
+        parsed = with_grid(parse_config(str(CONFIGS / "unstable_pinch.cfg")), 2048)
+        curve = build_initial(parsed.initial, parsed.sim.grid)[0]
+        z1, z2 = curve.z1.copy(), curve.z2.copy()
+        for i, k, gap in pairs:
+            z1[i + k], z2[i + k] = z1[i] + gap, z2[i]
+        curve = InterfaceCurve(curve.grid, z1, z2, validate=False)
+        message = chord_arc_outcome(blocked_chord_arc, curve)
+        assert message.startswith(f"SelfIntersection: nodes {closest[0]} and {closest[1]} ")
         assert chord_arc_outcome(chord_arc_constant, curve) == message
 
 
