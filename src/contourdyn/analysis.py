@@ -55,7 +55,7 @@ _LIMIT_SWITCH = 1e-3
 
 @dataclass(frozen=True)
 class DepthDiagnostics:
-    """Per-state depth diagnostics; the CSV stream serializes these fields."""
+    """Per-state depth diagnostics; each field is a diagnostics.csv column, in order."""
 
     t: float
     m: float
@@ -69,8 +69,6 @@ class DepthDiagnostics:
     c2_norm: float
     omega_c1_norm: float
     tail_bound: float
-    tie_count: int = 1
-    argmin_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ def depth_rate(
     omega: VorticityStrength,
     t: float = 0.0,
     alpha_star: float | None = None,
-) -> tuple[float, DepthDiagnostics]:
-    """Minimum-depth rate and its band decomposition.
+) -> DepthDiagnostics:
+    """Minimum-depth rate dm/dt and its band decomposition, as one diagnostics row.
 
     The quadrature runs at the refined argmin (or at ``alpha_star`` when
     given); curve and omega values there come from parabolic interpolation.
@@ -158,7 +156,6 @@ def depth_rate(
         j_far += sing_coeff * float(np.log(max(d_minus, floor) / max(d_plus, floor)))
 
     j_total = j_near + j_mid + j_far
-    dmdt = j_total / TWO_PI
 
     c0, c1, c2 = curve.holder_norms
     om_c0 = float(np.max(np.abs(omega.omega)))
@@ -179,11 +176,11 @@ def depth_rate(
         * (1.0 / max(d_minus, floor) ** 2 + 1.0 / max(d_plus, floor) ** 2)
     )
 
-    diag = DepthDiagnostics(
+    return DepthDiagnostics(
         t=float(t),
         m=m,
         alpha_star=a_star,
-        dmdt=dmdt,
+        dmdt=j_total / TWO_PI,
         J=j_total,
         J_m=j_near,
         J_1=j_mid,
@@ -192,10 +189,7 @@ def depth_rate(
         c2_norm=max(c0, c1, c2),
         omega_c1_norm=om_c1,
         tail_bound=tail,
-        tie_count=md.tie_count,
-        argmin_index=md.index,
     )
-    return dmdt, diag
 
 
 def log_bound_ratio(diag: DepthDiagnostics) -> float:
@@ -353,7 +347,7 @@ def continuation_report(
     _ = params  # physics currently informs no extra hypothesis quantity
     c0, c1, c2 = curve.holder_norms
     om_c0 = float(np.max(np.abs(omega.omega)))
-    _, diag = depth_rate(curve, omega, t=t)
+    diag = depth_rate(curve, omega, t=t)
     try:
         ratio: float | None = log_bound_ratio(diag)
     except OutOfRegime:

@@ -28,10 +28,7 @@ from .errors import ConfigError, ContourError, ValidationError
 from .evolve import SimState, closure_state, run as run_simulation
 from .geometry import Model
 from .io import (
-    DiagnosticsCsvSink,
-    SnapshotJsonlSink,
-    read_diagnostics,
-    read_snapshots,
+    DiagnosticsCsvSink, SnapshotJsonlSink, read_diagnostics, read_snapshots, write_identity
 )
 from .profiles import build_initial
 
@@ -103,23 +100,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_identity(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
     base_n = parsed.sim.grid.node_count
-    sweep = sorted({max(64, base_n // 8), max(64, base_n // 4), max(64, base_n // 2), base_n})
     rows = []
-    for n in sweep:
-        refined = with_grid(parsed, n)
-        curve, _ = build_initial(refined.initial, refined.sim.grid)
-        _, _, defect = identity_defect(curve)
-        rows.append((n, defect))
+    # N/2, N/4 and N/8, each rounded down to an even count and at least 64
+    others = sorted({max(64, base_n // k // 2 * 2) for k in (2, 4, 8)} - {base_n}, reverse=True)
+    for n in (base_n, *others):
+        try:
+            refined = with_grid(parsed, n)
+            curve, _ = build_initial(refined.initial, refined.sim.grid)
+        except ValidationError:
+            if n == base_n:  # the config's own grid: exit 2
+                raise
+            break  # the first other grid that the profile's window does not fit
+        rows.append((n, identity_defect(curve)[2]))
+    rows.sort()
+    for n, defect in rows:
         print(f"{n:8d}  {defect:.6e}")
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "identity.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"# contourdyn.identity v{__version__}\n")
-            fh.write(f"# config_sha256={parsed.sha256}\n")
-            fh.write("N,defect\n")
-            for n, defect in rows:
-                fh.write(f"{n},{defect!r}\n")
+        write_identity(outdir / "identity.csv", rows, parsed.sha256, __version__)
     return EXIT_OK
 
 

@@ -200,14 +200,16 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
 
     The step size is constant (the surface-tension cap applies once, up
     front), so the final time may overshoot t_end by less than one step.
-    Terminal events (bottom contact, stability failure, solver stall) end the
-    run and are recorded in the summary instead of propagating.
+    Every accepted state gets a diagnostics row; the snapshots are step 0,
+    every ``snapshot_every``-th step and the last accepted state.  Terminal
+    events (bottom contact, stability failure, solver stall) end the run and
+    are recorded in the summary instead of propagating.
     """
     sinks = tuple(sinks)
     dt = config.capped_dt()
     if dt < config.dt:
         logger.info("surface tension cap active: dt %.3e -> %.3e", config.dt, dt)
-    n_steps = 0 if config.t_end == 0.0 else int(np.ceil(config.t_end / dt - 1e-12))
+    n_steps = int(np.ceil(config.t_end / dt - 1e-12))
 
     state = initial
     last_snapshot_t: float | None = None
@@ -221,15 +223,15 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
             sink.on_snapshot(state.t, curve, omega)
         last_snapshot_t = state.t
 
-    def emit(state: SimState, step_index: int, force_snapshot: bool = False) -> None:
-        _, diag = depth_rate(state.curve, state.omega, t=state.t)
+    def emit(state: SimState, step_index: int) -> None:
+        diag = depth_rate(state.curve, state.omega, t=state.t)
         for sink in sinks:
             sink.on_diagnostics(diag)
         every = config.snapshot_every
-        if force_snapshot or (every > 0 and step_index % every == 0):
+        if step_index == 0 or (every > 0 and step_index % every == 0):
             snapshot(state)
 
-    emit(state, 0, force_snapshot=True)
+    emit(state, 0)
     status, message = "completed", ""
     steps_done = 0
     for i in range(1, n_steps + 1):
@@ -245,8 +247,8 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
             logger.warning("run terminated at step %d: %s", i, message)
             break
         steps_done = i
-        emit(state, i, force_snapshot=(i == n_steps))
-    if last_snapshot_t != state.t:  # terminated early: keep the last accepted state
+        emit(state, i)
+    if last_snapshot_t != state.t:  # the last accepted state, whether or not the run completed
         snapshot(state)
 
     return RunSummary(

@@ -3,12 +3,14 @@
 The interface is a planar curve alpha -> (z1(alpha), z2(alpha)) sampled on a
 uniform truncated parameter grid.  Away from a central window every curve must
 agree with the rest configuration (alpha, 1): the outermost DECAY_BAND nodes on
-each side carry the flat state to within DECAY_TOL.  That convention keeps the
-truncated quadratures well defined (analytic tail corrections become exact) and
-gives the finite-difference stencils known boundary values.
+each side carry the flat state to within DECAY_TOL (a Grid has at least 16
+nodes, so both bands fit).  That convention keeps the truncated quadratures
+well defined (analytic tail corrections become exact) and gives the
+finite-difference stencils known boundary values.
 
 All operations here are pure functions of immutable samples; derived arrays are
-cached on the owning object and are safe to share across threads.  The one
+cached on the owning object and are safe to share across threads.  How a curve
+is stored in a file (io.curve_record) is io's, not this module's.  The one
 O(N^2) pass, chord_arc_constant, reads the node pairs at parameter offset k as
 row k of one shifted view of the samples and differences a block of rows at a
 time into two reused buffers, so its memory stays O(block N) at any N.  It
@@ -20,7 +22,6 @@ z1 = alpha with L = 20 at N = 2048 stops after 7 offsets.
 
 from __future__ import annotations
 
-import base64
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,9 +91,8 @@ class Grid:
     def band_mask(self) -> FloatArray:
         """Boolean mask of the two decay bands (outermost DECAY_BAND nodes per side)."""
         mask = np.zeros(self.node_count, dtype=bool)
-        band = min(DECAY_BAND, self.node_count // 2)
-        mask[:band] = True
-        mask[self.node_count - band:] = True
+        mask[:DECAY_BAND] = True
+        mask[self.node_count - DECAY_BAND:] = True
         mask.flags.writeable = False
         return mask
 
@@ -105,14 +105,13 @@ class Grid:
         O(1/distance^2) far tail that the truncation drops anyway.
         """
         n = self.node_count
-        band = min(DECAY_BAND, n // 2)
-        ramp = max(band, n // 16)
+        ramp = max(DECAY_BAND, n // 16)
         mask = np.where(self.band_mask, 0.0, 1.0)
         for k in range(ramp):
             s = (k + 1.0) / (ramp + 1.0)
             value = 0.5 - 0.5 * np.cos(np.pi * s)
-            left = band + k
-            right = n - 1 - band - k
+            left = DECAY_BAND + k
+            right = n - 1 - DECAY_BAND - k
             if left >= right:
                 break
             mask[left] = min(mask[left], value)
@@ -192,9 +191,8 @@ def fd_derivative(values: FloatArray, h: float, order: int, edge_value: float = 
         )
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    band = min(DECAY_BAND, out.size // 2)
-    out[:band] = edge_value
-    out[out.size - band:] = edge_value
+    out[:DECAY_BAND] = edge_value
+    out[out.size - DECAY_BAND:] = edge_value
     return out
 
 
@@ -446,27 +444,3 @@ def far_field_mask(grid: Grid) -> FloatArray:
     """The grid's read-only far-field mask, built once per Grid (Grid.far_field_mask)."""
     return grid.far_field_mask
 
-
-def curve_record(curve: InterfaceCurve, t: float) -> dict:
-    """Snapshot record {t, half_width, z1, z2}: JSON numbers, and base64 of float64 LE bytes."""
-    z1, z2 = (
-        base64.b64encode(np.asarray(z, "<f8").tobytes()).decode() for z in (curve.z1, curve.z2)
-    )
-    return {"t": float(t), "half_width": float(curve.grid.half_width), "z1": z1, "z2": z2}
-
-
-def curve_from_record(record: dict) -> tuple[float, InterfaceCurve]:
-    """Rebuild (t, curve) from a snapshot record written by curve_record."""
-    missing = [key for key in ("t", "half_width", "z1", "z2") if key not in record]
-    if missing:
-        raise ValidationError(f"snapshot record lacks {', '.join(missing)}")
-    try:
-        t, half_width = float(record["t"]), float(record["half_width"])
-        z1, z2 = (
-            np.frombuffer(base64.b64decode(record[k], validate=True), "<f8") for k in ("z1", "z2")
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"snapshot record is not numeric: {exc}") from None
-    if not np.isfinite(t):
-        raise ValidationError(f"snapshot time must be finite, got {t}")
-    return t, InterfaceCurve(Grid(half_width, z1.size), z1, z2)

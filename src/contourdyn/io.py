@@ -1,63 +1,82 @@
-"""Reproducible output streams: diagnostics CSV and snapshot JSON Lines.
+"""Every file layout the tool writes, each defined once, and the readers of two.
 
-Every file starts with a header block recording the tool version and the
-SHA-256 of the canonical configuration, so identical configurations produce
-byte-identical files.  Floats are written with shortest round-trip repr,
-which preserves full double precision; snapshot samples are base64 of their
-float64 bytes (geometry.curve_record), so they round-trip bit for bit.
+``diagnostics.csv`` and ``identity.csv`` start with a stamped header (the
+format, the tool version and the SHA-256 of the canonical configuration) and
+a column line; the diagnostics columns are the fields of DepthDiagnostics.
+``snapshots.jsonl`` starts with a JSON header naming SNAPSHOT_FORMAT and its
+version, then holds one curve_record per snapshot.  Identical configurations
+give byte-identical files: floats are shortest round-trip repr, and snapshot
+samples are base64 of their float64 bytes, so they round-trip bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import json
+from pathlib import Path
 from typing import IO
 
 import numpy as np
 
 from .analysis import DepthDiagnostics
 from .errors import ValidationError
-from .geometry import InterfaceCurve, curve_record, curve_from_record
+from .geometry import Grid, InterfaceCurve
 from .kernels import VorticityStrength
 
-CSV_COLUMNS = (
-    "t",
-    "m",
-    "alpha_star",
-    "dmdt",
-    "J",
-    "J_m",
-    "J_1",
-    "J_inf",
-    "chord_arc",
-    "c2_norm",
-    "omega_c1_norm",
-    "tail_bound",
-)
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(DepthDiagnostics))
 
+DIAGNOSTICS_FORMAT = "contourdyn.diagnostics"
+IDENTITY_FORMAT = "contourdyn.identity"
 SNAPSHOT_FORMAT = "contourdyn.snapshots"
 SNAPSHOT_FORMAT_VERSION = 2
-DIAGNOSTICS_FORMAT = "contourdyn.diagnostics"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_table_header(fh: IO[str], fmt: str, columns, config_sha256: str, version: str) -> None:
+    """The two stamp lines '# <format> v<version>' and '# config_sha256=...', then the columns."""
+    fh.write(f"# {fmt} v{version}\n")
+    fh.write(f"# config_sha256={config_sha256}\n")
+    fh.write(",".join(columns) + "\n")
 
 
 class DiagnosticsCsvSink:
-    """Streams DepthDiagnostics rows in the pinned column order."""
+    """Streams DepthDiagnostics rows, one column per field."""
 
     def __init__(self, fh: IO[str], config_sha256: str, version: str):
         self._fh = fh
-        fh.write(f"# {DIAGNOSTICS_FORMAT} v{version}\n")
-        fh.write(f"# config_sha256={config_sha256}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        _write_table_header(fh, DIAGNOSTICS_FORMAT, CSV_COLUMNS, config_sha256, version)
 
     def on_diagnostics(self, diag: DepthDiagnostics) -> None:
-        row = ",".join(_fmt(getattr(diag, name)) for name in CSV_COLUMNS)
+        row = ",".join(repr(float(getattr(diag, name))) for name in CSV_COLUMNS)
         self._fh.write(row + "\n")
 
     def on_snapshot(self, t: float, curve: InterfaceCurve, omega: VorticityStrength) -> None:
         pass
+
+
+def curve_record(curve: InterfaceCurve, t: float) -> dict:
+    """Snapshot record {t, half_width, z1, z2}: JSON numbers, and base64 of float64 LE bytes."""
+    z1, z2 = (
+        base64.b64encode(np.asarray(z, "<f8").tobytes()).decode() for z in (curve.z1, curve.z2)
+    )
+    return {"t": float(t), "half_width": float(curve.grid.half_width), "z1": z1, "z2": z2}
+
+
+def curve_from_record(record: dict) -> tuple[float, InterfaceCurve]:
+    """Rebuild (t, curve) from a snapshot record written by curve_record."""
+    missing = [key for key in ("t", "half_width", "z1", "z2") if key not in record]
+    if missing:
+        raise ValidationError(f"snapshot record lacks {', '.join(missing)}")
+    try:
+        t, half_width = float(record["t"]), float(record["half_width"])
+        z1, z2 = (
+            np.frombuffer(base64.b64decode(record[k], validate=True), "<f8") for k in ("z1", "z2")
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"snapshot record is not numeric: {exc}") from None
+    if not np.isfinite(t):
+        raise ValidationError(f"snapshot time must be finite, got {t}")
+    return t, InterfaceCurve(Grid(half_width, z1.size), z1, z2)
 
 
 class SnapshotJsonlSink:
@@ -74,6 +93,14 @@ class SnapshotJsonlSink:
 
     def on_snapshot(self, t: float, curve: InterfaceCurve, omega: VorticityStrength) -> None:
         self._fh.write(json.dumps(curve_record(curve, t)) + "\n")
+
+
+def write_identity(path: Path, rows: list[tuple[int, float]], config_sha256: str, version: str):
+    """Write a refinement sweep's (N, defect) rows under a stamped header."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_table_header(fh, IDENTITY_FORMAT, ("N", "defect"), config_sha256, version)
+        for n, defect in rows:
+            fh.write(f"{n},{defect!r}\n")
 
 
 def read_diagnostics(path: str) -> dict[str, np.ndarray]:

@@ -69,7 +69,7 @@ class InitialSpec:
 
 def _window_or_fail(grid: Grid, flat_half: float, ramp: float) -> FloatArray:
     support = flat_half + ramp
-    usable = grid.half_width - (grid.spacing * (min(DECAY_BAND, grid.node_count // 2) + 1))
+    usable = grid.half_width - (grid.spacing * (DECAY_BAND + 1))
     if support >= usable:
         raise ValidationError(
             f"window support {support:.3g} reaches the decay band of the grid "

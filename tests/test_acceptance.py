@@ -186,7 +186,7 @@ def test_criterion_6_bound_ratio_trend():
         curve, _ = build_initial(
             InitialSpec(profile="pinch", delta=delta, window_ramp=4.0), grid
         )
-        _, diag = depth_rate(curve, omega)
+        diag = depth_rate(curve, omega)
         ratios.append(log_bound_ratio(diag))
     ok = ratios[-1] <= 1.5 * max(ratios[0], ratios[1])
     assert report(

@@ -47,9 +47,9 @@ class TestDepthRate:
         omega = VorticityStrength(grid512, 0.8 * w)
         # evaluate at the window center, where the integrand is odd; the
         # leftover is the O(h^2/L^2) trapezoid floor at the truncation ends
-        dmdt, diag = depth_rate(curve, omega, alpha_star=0.0)
+        diag = depth_rate(curve, omega, alpha_star=0.0)
         assert abs(diag.J) <= 1e-6
-        assert abs(dmdt) <= 1e-6
+        assert abs(diag.dmdt) <= 1e-6
 
     def test_partition_exact(self, grid256):
         rng = np.random.default_rng(3)
@@ -57,7 +57,7 @@ class TestDepthRate:
             curve = bump_curve(grid256, float(rng.uniform(-0.5, 0.5)))
             omega = gaussian_strength(grid256, amplitude=float(rng.uniform(-2, 2)),
                                       center=float(rng.uniform(-2, 2)))
-            _, diag = depth_rate(curve, omega)
+            diag = depth_rate(curve, omega)
             assert abs(diag.J - (diag.J_m + diag.J_1 + diag.J_inf)) <= 1e-12 * (1.0 + abs(diag.J))
 
     def test_matches_p_form_oracle(self):
@@ -84,7 +84,7 @@ class TestDepthRate:
                 cases.append((curve, omega, node if k % 2 else None))
         assert len(cases) == 144
         for curve, omega, a_star in cases:
-            _, diag = depth_rate(curve, omega, alpha_star=a_star)
+            diag = depth_rate(curve, omega, alpha_star=a_star)
             expect, scale = p_form_depth_rate(curve, omega, a_star)
             got = np.array([diag.J, diag.J_m, diag.J_1, diag.J_inf])
             assert np.max(np.abs(got - expect)) <= 2e-15 * scale
@@ -92,8 +92,8 @@ class TestDepthRate:
     def test_dmdt_is_j_over_two_pi(self, grid256):
         curve = bump_curve(grid256, -0.3)
         omega = gaussian_strength(grid256)
-        dmdt, diag = depth_rate(curve, omega)
-        assert dmdt == diag.dmdt == diag.J / (2.0 * np.pi)
+        diag = depth_rate(curve, omega)
+        assert diag.dmdt == diag.J / (2.0 * np.pi)
 
     def test_against_time_difference(self, grid256):
         # dm/dt from the quadrature tracks the observed depth change of a run
@@ -122,15 +122,15 @@ class TestDepthRate:
         omega = gaussian_strength(grid256, amplitude=1.1, center=1.0, sigma=2.0)
         a0 = float(min_depth(curve).alpha_star)
         h = grid256.spacing
-        _, d_on = depth_rate(curve, omega, alpha_star=a0)
-        _, d_off = depth_rate(curve, omega, alpha_star=a0 + 1e-7 * h)
+        d_on = depth_rate(curve, omega, alpha_star=a0)
+        d_off = depth_rate(curve, omega, alpha_star=a0 + 1e-7 * h)
         assert abs(d_on.J) > 1e-3  # asymmetric strength: J is genuinely nonzero
         assert abs(d_off.J - d_on.J) <= 1e-6 * (1.0 + abs(d_on.J))
 
     def test_tail_bound_scales_with_depth(self, grid256):
         omega = gaussian_strength(grid256)
-        _, shallow = depth_rate(pinch_curve(grid256, 0.4), omega)
-        _, deep = depth_rate(pinch_curve(grid256, 0.1), omega)
+        shallow = depth_rate(pinch_curve(grid256, 0.4), omega)
+        deep = depth_rate(pinch_curve(grid256, 0.1), omega)
         assert deep.tail_bound < shallow.tail_bound
         assert shallow.tail_bound >= 0.0
 
@@ -139,7 +139,7 @@ class TestBoundRatio:
     def test_out_of_regime(self, grid256):
         curve = flat_curve(grid256)
         omega = gaussian_strength(grid256)
-        _, diag = depth_rate(curve, omega, alpha_star=0.0)
+        diag = depth_rate(curve, omega, alpha_star=0.0)
         with pytest.raises(OutOfRegime):
             log_bound_ratio(diag)
 
@@ -147,7 +147,7 @@ class TestBoundRatio:
         # a pinch so gentle J still vanishes when omega is zero
         curve = pinch_curve(grid256, 0.2)
         omega = VorticityStrength(grid256, np.zeros(grid256.node_count))
-        _, diag = depth_rate(curve, omega)
+        diag = depth_rate(curve, omega)
         assert log_bound_ratio(diag) == 0.0
 
     def test_pinch_family_bounded(self):
@@ -155,7 +155,7 @@ class TestBoundRatio:
         omega = gaussian_strength(g)
         ratios = []
         for delta in (0.2, 0.1, 0.05, 0.025):
-            _, diag = depth_rate(pinch_curve(g, delta), omega)
+            diag = depth_rate(pinch_curve(g, delta), omega)
             ratios.append(log_bound_ratio(diag))
         assert ratios[-1] <= 1.5 * max(ratios[0], ratios[1])
 
@@ -163,8 +163,8 @@ class TestBoundRatio:
         omega = gaussian_strength(grid256)
         curve = pinch_curve(grid256, 0.15)
         shifted = InterfaceCurve(grid256, curve.z1 + 2.0, curve.z2, validate=False)
-        _, d0 = depth_rate(curve, omega)
-        _, d1 = depth_rate(shifted, omega)
+        d0 = depth_rate(curve, omega)
+        d1 = depth_rate(shifted, omega)
         assert log_bound_ratio(d1) == pytest.approx(log_bound_ratio(d0), rel=1e-9)
 
 
@@ -178,8 +178,7 @@ class TestDecaySign:
         spec = InitialSpec(profile="monotone", amplitude=-0.4, z1_wiggle=0.3)
         curve, _ = build_initial(spec, grid256)
         omega = solve_vorticity_equal(curve, params)
-        dmdt, _ = depth_rate(curve, omega)
-        assert dmdt <= 1e-6
+        assert depth_rate(curve, omega).dmdt <= 1e-6
 
 
 class TestIdentity:

@@ -12,9 +12,12 @@ from types import ModuleType
 import numpy as np
 import pytest
 
-from contourdyn import kernels
+from contourdyn import __version__, kernels
 from contourdyn.cli import _build_parser, main
+from contourdyn.config import parse_config
 from contourdyn.io import read_diagnostics, read_snapshots
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FLAT_CFG = """
 [model]
@@ -264,7 +267,7 @@ class TestLibraryParity:
 class TestSplitPass:
     def test_split_run_files_identical_to_one_thread(self, tmp_path, monkeypatch):
         # every pair pass at N = 1024 split over two threads, then on one
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "stable_relaxation.cfg"
+        shipped = CONFIGS / "stable_relaxation.cfg"
         text = shipped.read_text()
         for old, new in (("N = 256", "N = 1024"), ("t_end = 1.0", "t_end = 0.015"),
                          ("snapshot_every = 20", "snapshot_every = 1")):
@@ -350,8 +353,7 @@ class TestAnalyze:
         """Exit code and error record of analyze on a two-line snapshot file."""
         from contourdyn.cli import initial_state
         from contourdyn.config import parse_config
-        from contourdyn.geometry import curve_record
-        from contourdyn.io import SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_VERSION
+        from contourdyn.io import SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_VERSION, curve_record
 
         good = curve_record(initial_state(parse_config(stable_cfg)).curve, 0.0)
         if header is None:
@@ -378,7 +380,8 @@ class TestAnalyze:
     @staticmethod
     def flat_record(t: float) -> dict:
         """A snapshot record of the flat state on 32 nodes at time t."""
-        from contourdyn.geometry import Grid, InterfaceCurve, curve_record
+        from contourdyn.geometry import Grid, InterfaceCurve
+        from contourdyn.io import curve_record
 
         grid = Grid(20.0, 32)
         return curve_record(InterfaceCurve(grid, grid.alpha, np.ones(32)), t)
@@ -451,6 +454,19 @@ class TestPackage:
         assert sorted(set(contourdyn.__all__) - used) == []
 
 
+    def test_only_io_names_a_file_format(self):
+        # each output layout has one owner: no other module names a format or
+        # writes a stamped header line
+        import contourdyn
+
+        owned = ("contourdyn.diagnostics", "contourdyn.snapshots", "contourdyn.identity",
+                 "# config_sha256=")
+        for path in Path(contourdyn.__file__).parent.glob("*.py"):
+            if path.name != "io.py":
+                text = path.read_text(encoding="utf-8")
+                assert [name for name in owned if name in text] == [], path.name
+
+
 class TestRuntimeImports:
     def test_fit_and_analyze_do_not_import_scipy(self, stable_cfg, tmp_path):
         import contourdyn
@@ -486,6 +502,36 @@ class TestIdentity:
         assert defects[-1] < defects[0]
         table = (out / "identity.csv").read_text()
         assert "N,defect" in table
+
+    def test_shipped_wave_sweeps_the_grids_its_window_fits(self, tmp_path, capsys):
+        # at N = 64 the wave's window support (12 + 4) reaches the decay band
+        cfg = str(CONFIGS / "internal_wave.cfg")
+        assert main(["identity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l.split() for l in capsys.readouterr().out.strip().splitlines()]
+        assert [int(l[0]) for l in lines] == [128, 256]
+        assert float(lines[1][1]) < float(lines[0][1])
+        table = (tmp_path / "identity.csv").read_text().splitlines()
+        assert table[:3] == [
+            f"# contourdyn.identity v{__version__}",
+            f"# config_sha256={parse_config(cfg).sha256}",
+            "N,defect",
+        ]
+        assert [row.split(",")[0] for row in table[3:]] == ["128", "256"]
+
+    def test_odd_half_rounds_down_to_an_even_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "n130.cfg"
+        shipped = (CONFIGS / "stable_relaxation.cfg").read_text()
+        cfg.write_text(shipped.replace("N = 256", "N = 130"))
+        assert main(["identity", "--config", str(cfg)]) == 0
+        assert [int(l.split()[0]) for l in capsys.readouterr().out.splitlines()] == [64, 130]
+
+    def test_window_beyond_the_configs_own_grid_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "wave64.cfg"
+        cfg.write_text((CONFIGS / "internal_wave.cfg").read_text().replace("N = 256", "N = 64"))
+        assert main(["identity", "--config", str(cfg)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "decay band" in record["detail"]
 
 
 class TestFit:

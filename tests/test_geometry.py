@@ -21,12 +21,11 @@ from contourdyn.geometry import (
     PhysicalParams,
     chord_arc_constant,
     curvature,
-    curve_from_record,
-    curve_record,
     far_field_mask,
     holder_norms,
     min_depth,
 )
+from contourdyn.io import curve_from_record, curve_record
 from contourdyn.profiles import build_initial, plateau_window
 
 from support import blocked_chord_arc, bump_curve, traced_peak

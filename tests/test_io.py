@@ -1,18 +1,25 @@
-"""Snapshot files: the format version 2 record round-trips every float64 bit."""
+"""Output files: one definition per layout, and the format version 2 record
+round-trips every float64 bit."""
 
+import dataclasses
 import json
+import re
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contourdyn import __version__
+from contourdyn.analysis import DepthDiagnostics
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import ValidationError
 from contourdyn.evolve import step
-from contourdyn.geometry import Grid, InterfaceCurve, curve_from_record, curve_record
-from contourdyn.io import SnapshotJsonlSink, read_snapshots
+from contourdyn.geometry import Grid, InterfaceCurve
+from contourdyn.io import (
+    DiagnosticsCsvSink, SnapshotJsonlSink, curve_from_record, curve_record, read_snapshots
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,3 +61,19 @@ def test_malformed_samples_rejected(samples):
     record["z2"] = samples
     with pytest.raises(ValidationError, match="not numeric"):
         curve_from_record(record)
+
+
+def csv_header() -> list[str]:
+    fh = StringIO()
+    DiagnosticsCsvSink(fh, "0" * 64, __version__)
+    return fh.getvalue().splitlines()
+
+
+def test_csv_columns_are_the_depth_diagnostics_fields():
+    assert csv_header()[2].split(",") == [f.name for f in dataclasses.fields(DepthDiagnostics)]
+
+
+def test_readme_lists_the_csv_header():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("`diagnostics.csv` has one row", 1)[1]
+    assert re.search(r"```\n(.*?)\n```", section, re.S).group(1) == csv_header()[2]
