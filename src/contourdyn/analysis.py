@@ -14,7 +14,7 @@ This module turns the continuation theory into checkable numbers:
 * a double-exponential lower-bound fit m(t) >= exp(-C exp(C t));
 * a continuation report collecting every hypothesis quantity.
 
-Both read rows of the kernels module's product form
+Both read one row (kernels.sheet_row) of the product form
 R_k = 1 / ((t - z_k)(t - zbar_k)), whose numerators 2i z2_k and 2 (t - z1_k)
 give the difference and the sum of the kernel pair.  J reads one row at the
 off-grid point t = z(alpha*), the real part of the difference times omega.
@@ -22,7 +22,7 @@ Its Cauchy singularity is subtracted analytically: the model singularity C/u
 integrates to an exact logarithm over the truncated interval (assigned to the
 far band), the remainder is smooth enough for the trapezoid rule, and a node
 on alpha* takes the remainder's limit Re R[omega], the shared diagonal limit.
-I and I-tilde read one node's row (node_row) with densities d(z2)/ds and
+I and I-tilde read node j's row, punctured at j, with densities d(z2)/ds and
 d(z1)/ds: the punctured rule plus the diagonal limit at that node.  They
 carry analytic flat-state tail corrections; the I-tilde tail is a Poisson
 integral that decays only like 1/distance and must not be dropped.
@@ -37,9 +37,7 @@ import numpy as np
 
 from .errors import FitFailure, OutOfRegime
 from .geometry import DECAY_TOL, FloatArray, InterfaceCurve, PhysicalParams
-from .kernels import (
-    VorticityStrength, _require_shared_grid, _sheet_rows, _source_columns, diagonal_limit, node_row
-)
+from .kernels import VorticityStrength, _require_shared_grid, diagonal_limit, sheet_row
 
 TWO_PI = 2.0 * np.pi
 
@@ -126,7 +124,7 @@ def depth_rate(
     u = a_star - alpha
     au = np.abs(u)
     on_star = au < _LIMIT_SWITCH * h
-    row = _sheet_rows(_source_columns(curve), [z1s + 1j * z2s], puncture=(on_star, 0))[:, 0]
+    row = sheet_row(curve, z1s + 1j * z2s, on_star)
     desing = -2.0 * curve.z2 * omega.omega * row.imag
 
     sing_coeff = d1xs * oms / (d1xs * d1xs + d1ys * d1ys)
@@ -222,7 +220,9 @@ def identity_defect(curve: InterfaceCurve, j_star: int | None = None) -> tuple[f
     """
     if j_star is None:
         j_star = curve.min_depth.index
-    row = node_row(curve, j_star)
+    if not 0 <= j_star < curve.grid.node_count:
+        raise IndexError(f"node index {j_star} out of range")
+    row = sheet_row(curve, curve.z[j_star], [j_star])
     (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
     dz, d2z = d1x[j_star] + 1j * d1y[j_star], d2x[j_star] + 1j * d2y[j_star]
     w = curve.grid.trapezoid_weights

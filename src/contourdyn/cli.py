@@ -19,7 +19,6 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import __version__
 from .analysis import continuation_report, fit_double_exponential, identity_defect
@@ -27,9 +26,7 @@ from .config import ParsedConfig, parse_config, with_grid
 from .errors import ConfigError, ContourError, ValidationError
 from .evolve import SimState, closure_state, run as run_simulation
 from .geometry import Model
-from .io import (
-    DiagnosticsCsvSink, SnapshotJsonlSink, read_diagnostics, read_snapshots, write_identity
-)
+from .io import read_diagnostics, read_snapshots, run_sinks, stamp, write_identity, write_summary
 from .profiles import build_initial
 
 logger = logging.getLogger(__name__)
@@ -52,21 +49,9 @@ def initial_state(parsed: ParsedConfig) -> SimState:
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
     state = initial_state(parsed)  # before the directory: a failed closure leaves none
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "diagnostics.csv", "w", encoding="utf-8") as diag_fh, open(
-        outdir / "snapshots.jsonl", "w", encoding="utf-8"
-    ) as snap_fh:
-        sinks = (
-            DiagnosticsCsvSink(diag_fh, parsed.sha256, __version__),
-            SnapshotJsonlSink(snap_fh, parsed.sha256, __version__),
-        )
+    with run_sinks(args.out, parsed.sha256, __version__) as sinks:
         summary = run_simulation(parsed.sim, state, sinks)
-    record = dataclasses.asdict(summary)
-    record["config_sha256"] = parsed.sha256
-    record["version"] = __version__
-    (outdir / "summary.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(record))
+    print(json.dumps(write_summary(args.out, summary, parsed.sha256, __version__)))
     return EXIT_OK if summary.status == "completed" else EXIT_RUNTIME
 
 
@@ -83,17 +68,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = continuation_report(curve, state.omega, parsed.sim.params, t=t)
     value_i, value_it, defect = identity_defect(curve)
     record = dataclasses.asdict(report)
-    record.update(
-        {
-            "identity_I": value_i,
-            "identity_Itilde": value_it,
-            "identity_defect": defect,
-            "omega_source": omega_source,
-            "config_sha256": parsed.sha256,
-            "version": __version__,
-        }
-    )
-    print(json.dumps(record, indent=2))
+    record.update(identity_I=value_i, identity_Itilde=value_it, identity_defect=defect,
+                  omega_source=omega_source)
+    print(json.dumps(stamp(record, parsed.sha256, __version__), indent=2))
     return EXIT_OK
 
 
@@ -101,8 +78,8 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
     base_n = parsed.sim.grid.node_count
     rows = []
-    # N/2, N/4 and N/8, each rounded down to an even count and at least 64
-    others = sorted({max(64, base_n // k // 2 * 2) for k in (2, 4, 8)} - {base_n}, reverse=True)
+    # N/2, N/4 and N/8, each rounded down to an even count, while at least 64
+    others = [n for n in (base_n // k // 2 * 2 for k in (2, 4, 8)) if n >= 64]
     for n in (base_n, *others):
         try:
             refined = with_grid(parsed, n)
@@ -116,9 +93,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     for n, defect in rows:
         print(f"{n:8d}  {defect:.6e}")
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_identity(outdir / "identity.csv", rows, parsed.sha256, __version__)
+        write_identity(args.out, rows, parsed.sha256, __version__)
     return EXIT_OK
 
 

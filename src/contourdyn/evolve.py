@@ -172,11 +172,12 @@ def closure_state(
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One classical RK4 step of the masked system, with post-step checks.
 
-    A stage's closure iterates from stage i-1's x, stage 4's from 2 x3 - x1 (linear
-    in stage time), the acceptance's from x4.  A contrast state made under ``config``
-    (initial or accepted) holds its x1, so k1 solves nothing; the wave k1 starts cold.
+    ``dt`` defaults to config.capped_dt(), the step run takes.  A stage's closure
+    iterates from stage i-1's x, stage 4's from 2 x3 - x1 (linear in stage time),
+    the acceptance's from x4.  A contrast state made under ``config`` (initial or
+    accepted) holds its x1, so k1 solves nothing; the wave k1 starts cold.
     """
-    dt = config.dt if dt is None else float(dt)
+    dt = config.capped_dt() if dt is None else float(dt)
     mask = far_field_mask(config.grid)
     waves = config.model is Model.WATER_WAVES
     y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])

@@ -4,9 +4,11 @@
 format, the tool version and the SHA-256 of the canonical configuration) and
 a column line; the diagnostics columns are the fields of DepthDiagnostics.
 ``snapshots.jsonl`` starts with a JSON header naming SNAPSHOT_FORMAT and its
-version, then holds one curve_record per snapshot.  Identical configurations
-give byte-identical files: floats are shortest round-trip repr, and snapshot
-samples are base64 of their float64 bytes, so they round-trip bit for bit.
+version, then holds one curve_record per snapshot.  ``summary.json`` holds a
+RunSummary's fields, then the stamp (config_sha256, version) that also ends
+the analyze record.  An OSError opening a file is a ValidationError.
+Identical configurations give byte-identical files: floats are shortest
+round-trip repr, and snapshot samples are base64 of their float64 bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
 
@@ -30,6 +33,20 @@ DIAGNOSTICS_FORMAT = "contourdyn.diagnostics"
 IDENTITY_FORMAT = "contourdyn.identity"
 SNAPSHOT_FORMAT = "contourdyn.snapshots"
 SNAPSHOT_FORMAT_VERSION = 2
+
+
+def _open_output(outdir: str, name: str) -> IO[str]:
+    """``outdir``/``name`` opened for writing, the directory made if missing."""
+    try:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+        return open(Path(outdir) / name, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {name} under {outdir!r}: {exc}") from None
+
+
+def stamp(record: dict, config_sha256: str, version: str) -> dict:
+    """``record`` followed by the keys config_sha256 and version."""
+    return {**record, "config_sha256": config_sha256, "version": version}
 
 
 def _write_table_header(fh: IO[str], fmt: str, columns, config_sha256: str, version: str) -> None:
@@ -95,9 +112,26 @@ class SnapshotJsonlSink:
         self._fh.write(json.dumps(curve_record(curve, t)) + "\n")
 
 
-def write_identity(path: Path, rows: list[tuple[int, float]], config_sha256: str, version: str):
-    """Write a refinement sweep's (N, defect) rows under a stamped header."""
-    with open(path, "w", encoding="utf-8") as fh:
+@contextmanager
+def run_sinks(outdir: str, config_sha256: str, version: str):
+    """A run's sinks, writing diagnostics.csv and snapshots.jsonl under ``outdir``."""
+    with (_open_output(outdir, "diagnostics.csv") as diag,
+          _open_output(outdir, "snapshots.jsonl") as snap):
+        stamped = config_sha256, version
+        yield DiagnosticsCsvSink(diag, *stamped), SnapshotJsonlSink(snap, *stamped)
+
+
+def write_summary(outdir: str, summary, config_sha256: str, version: str) -> dict:
+    """Write a RunSummary's stamped record to ``outdir``/summary.json, and return it."""
+    record = stamp(dataclasses.asdict(summary), config_sha256, version)
+    with _open_output(outdir, "summary.json") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
+    return record
+
+
+def write_identity(outdir: str, rows: list[tuple[int, float]], config_sha256: str, version: str):
+    """Write a refinement sweep's (N, defect) rows to ``outdir``/identity.csv."""
+    with _open_output(outdir, "identity.csv") as fh:
         _write_table_header(fh, IDENTITY_FORMAT, ("N", "defect"), config_sha256, version)
         for n, defect in rows:
             fh.write(f"{n},{defect!r}\n")

@@ -12,8 +12,8 @@ the exact product form of the pair, R = 1 / ((t - z)(t - zbar)): one complex
 reciprocal per pair, and no cancellation between the two kernels near the
 bottom.  The sheet velocity is R times the real scale w z2 / pi; the flux
 integrals I and I-tilde of the analysis module read one node's row of R
-(node_row) with the numerators of the difference and the sum of the kernels,
-and the depth rate J one off-grid row at the depth minimum.
+with the numerators of the difference and the sum of the kernels, and the
+depth rate J one off-grid row at the depth minimum: both through sheet_row.
 
 On the curve itself the first kernel is Cauchy-singular.  The principal value
 is computed by the punctured trapezoid rule (the singular node is omitted, so
@@ -102,7 +102,7 @@ class VorticityStrength:
             if not np.all(np.isfinite(om)):
                 raise ValidationError("omega samples must be finite")
             band = self.grid.band_mask
-            worst = float(np.max(np.abs(om[band]))) if om[band].size else 0.0
+            worst = float(np.max(np.abs(om[band])))
             if worst > DECAY_TOL:
                 raise ValidationError(
                     f"omega must decay on the edge bands (|omega| = {worst:.3e} "
@@ -214,18 +214,15 @@ def _apply(rows: np.ndarray, omega: FloatArray) -> np.ndarray:
     return (omega @ rows.view(np.float64)).view(np.complex128)
 
 
-def node_row(curve: InterfaceCurve, j: int) -> np.ndarray:
-    """1 / ((z_j - z_k)(z_j - zbar_k)) over the sources k, punctured at k = j.
+def sheet_row(curve: InterfaceCurve, t: complex, on) -> np.ndarray:
+    """1 / ((t - z_k)(t - zbar_k)) over the sources k, punctured at the sources ``on`` t sits on.
 
-    Times 2i z2_k it is the difference 1/(z_j - z_k) - 1/(z_j - zbar_k) of the
-    kernels, times 2 (z_j - z1_k) their sum.  At k = j both products give
-    -1/(z_j - zbar_j): right for the punctured difference, while the punctured
-    sum needs the opposite sign.
+    Times 2i z2_k it is the difference 1/(t - z_k) - 1/(t - zbar_k) of the kernels,
+    times 2 (t - z1_k) their sum.  At a punctured k both give -1/(t - zbar_k): right
+    for the punctured difference, while the punctured sum needs the opposite sign.
     """
     curve.require_resolved()
-    if not 0 <= j < curve.grid.node_count:
-        raise IndexError(f"node index {j} out of range")
-    return _sheet_rows(_source_columns(curve), curve.z[[j]], puncture=([j], [0]))[:, 0]
+    return _sheet_rows(_source_columns(curve), [t], puncture=(on, 0))[:, 0]
 
 
 def pv_all_nodes(

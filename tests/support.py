@@ -21,7 +21,7 @@ from contourdyn.geometry import (
     far_field_mask,
     min_depth,
 )
-from contourdyn.kernels import INV_2PI_I, VorticityStrength, diagonal_limit, node_row, pv_all_nodes
+from contourdyn.kernels import INV_2PI_I, VorticityStrength, diagonal_limit, pv_all_nodes, sheet_row
 from contourdyn.muskat import vorticity_rhs
 from contourdyn.profiles import plateau_window
 
@@ -124,14 +124,17 @@ def velocity_at_point(curve: InterfaceCurve, omega: VorticityStrength, p) -> np.
     tol = NEAR_FIELD_CELLS * curve.grid.spacing * float(np.sqrt(np.max(curve.speed_squared)))
     if dist < tol:
         raise ValueError(f"point at distance {dist:.3e} from the curve, inside the collar {tol:.3e}")
-    rows = kernels._sheet_rows(kernels._source_columns(curve), [t])
-    w = kernels._apply(rows, omega.omega * curve.sheet_scale)[0]
+    row = sheet_row(curve, t, [])
+    w = kernels._apply(row[:, None], omega.omega * curve.sheet_scale)[0]
     return np.array([w.real, -w.imag])
 
 
 def pv_at_node(curve: InterfaceCurve, omega: VorticityStrength, j: int) -> np.ndarray:
     """pv_all_nodes' (u, v) at node j alone, from node j's row: O(N), not O(N^2)."""
-    far = kernels._apply(node_row(curve, j)[:, None], omega.omega * curve.sheet_scale)[0]
+    if not 0 <= j < curve.grid.node_count:
+        raise IndexError(f"node index {j} out of range")
+    row = sheet_row(curve, curve.z[j], [j])
+    far = kernels._apply(row[:, None], omega.omega * curve.sheet_scale)[0]
     limit = node_limit(curve, omega.omega, omega.d1)[j]
     w = far + curve.grid.trapezoid_weights[j] * limit * INV_2PI_I
     return np.array([w.real, -w.imag])

@@ -1,5 +1,7 @@
 """Depth-rate quadrature, band decomposition, flux identity, bound fitting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -272,20 +274,25 @@ class TestSharedKernel:
 
             monkeypatch.setattr(analysis, name, wrapped)
 
-        for name in ("_sheet_rows", "node_row", "diagonal_limit"):
+        for name in ("sheet_row", "diagonal_limit"):
             spy(name)
         curve = pinch_curve(Grid(20.0, 512), 0.1)
         omega = gaussian_strength(curve.grid, amplitude=0.5, center=0.3)
-        for call, row_name in ((lambda: depth_rate(curve, omega), "_sheet_rows"),
-                               (lambda: identity_defect(curve), "node_row")):
+        for call in (lambda: depth_rate(curve, omega), lambda: identity_defect(curve)):
             calls.clear()
             call()
             rows = [(name, args) for name, args in calls if name != "diagonal_limit"]
-            assert [name for name, _ in rows] == [row_name]
-            if row_name == "_sheet_rows":
-                assert np.size(rows[0][1][1]) == 1  # one target: the point z(alpha*)
+            assert [name for name, _ in rows] == ["sheet_row"]
+            assert np.size(rows[0][1][1]) == 1  # one target: z(alpha*) or the argmin node
             limits = [args for name, args in calls if name == "diagonal_limit"]
             assert limits and all(np.ndim(arg) == 0 for args in limits for arg in args)
+
+    def test_only_kernels_builds_rows(self):
+        # every row of the product form comes through kernels.sheet_row
+        for path in Path(analysis.__file__).parent.glob("*.py"):
+            if path.name != "kernels.py":
+                text = path.read_text(encoding="utf-8")
+                assert [n for n in ("_sheet_rows", "_source_columns") if n in text] == [], path.name
 
 
 FIT_T = np.linspace(0.0, 2.0, 50)

@@ -202,6 +202,14 @@ class TestRun:
         assert main(["fit", "--in", str(tmp_path / "nope.csv")]) == 2
         assert main(["analyze", "--config", flat_cfg, "--in", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_unwritable_out_exit_code(self, flat_cfg, tmp_path, capsys):
+        # an output directory under a regular file cannot be made: a JSON error, no traceback
+        (tmp_path / "file").write_text("")
+        assert main(["run", "--config", flat_cfg, "--out", str(tmp_path / "file" / "x")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "diagnostics.csv" in record["detail"]
+
     def test_waterwaves_run_and_analyze(self, tmp_path, capsys):
         cfg = tmp_path / "wave.cfg"
         cfg.write_text(
@@ -460,7 +468,7 @@ class TestPackage:
         import contourdyn
 
         owned = ("contourdyn.diagnostics", "contourdyn.snapshots", "contourdyn.identity",
-                 "# config_sha256=")
+                 "# config_sha256=", '"config_sha256"')
         for path in Path(contourdyn.__file__).parent.glob("*.py"):
             if path.name != "io.py":
                 text = path.read_text(encoding="utf-8")
@@ -524,6 +532,20 @@ class TestIdentity:
         cfg.write_text(shipped.replace("N = 256", "N = 130"))
         assert main(["identity", "--config", str(cfg)]) == 0
         assert [int(l.split()[0]) for l in capsys.readouterr().out.splitlines()] == [64, 130]
+
+    def test_coarse_config_sweeps_only_its_own_grid(self, tmp_path, capsys):
+        # N/2, N/4 and N/8 of N = 32 are all below 64: no grid finer than the config's
+        cfg = tmp_path / "flat32.cfg"
+        cfg.write_text(FLAT_CFG.replace("N = 128", "N = 32"))
+        assert main(["identity", "--config", str(cfg)]) == 0
+        assert [int(l.split()[0]) for l in capsys.readouterr().out.splitlines()] == [32]
+
+    def test_unwritable_out_exit_code(self, flat_cfg, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["identity", "--config", flat_cfg, "--out", str(tmp_path / "file" / "x")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "identity.csv" in record["detail"]
 
     def test_window_beyond_the_configs_own_grid_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "wave64.cfg"

@@ -231,6 +231,21 @@ class TestStep:
         summary = run(cfg, state, [])
         assert summary.status == "completed"
 
+    def test_default_step_is_capped(self):
+        # step's default dt is the one run takes: the surface-tension cap applies
+        g = Grid(20.0, 128)
+        params = stable_params(gamma=1.0)
+        w = plateau_window(g.alpha, 5.0, 5.0)
+        curve = InterfaceCurve(g, g.alpha.copy(), 1.0 - 0.2 * np.cos(g.alpha) * w)
+        state = SimState(curve, solve_vorticity_equal(curve, params), 0.0)
+        cfg = SimConfig(params=params, grid=g, dt=0.12, t_end=0.2, snapshot_every=0)
+        assert cfg.capped_dt() < cfg.dt
+        default, capped = step(state, cfg), step(state, cfg, dt=cfg.capped_dt())
+        assert default.t == capped.t
+        for a, b in ((default.curve.z1, capped.curve.z1), (default.curve.z2, capped.curve.z2),
+                     (default.omega.omega, capped.omega.omega)):
+            assert np.array_equal(a, b)
+
 
 class TestRun:
     @pytest.mark.parametrize("key", ["dt", "t_end", "contact_tol"])

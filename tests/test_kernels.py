@@ -185,8 +185,6 @@ class TestPvBoundaryIntegral:
         omega = gaussian_strength(grid256)
         for j in (-1, grid256.node_count):
             with pytest.raises(IndexError):
-                kernels.node_row(curve, j)
-            with pytest.raises(IndexError):
                 pv_at_node(curve, omega, j)
             with pytest.raises(IndexError):
                 identity_defect(curve, j)
