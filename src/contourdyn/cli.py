@@ -37,10 +37,10 @@ EXIT_RUNTIME = 3
 
 
 def initial_state(parsed: ParsedConfig) -> SimState:
-    """The t = 0 state, built by evolve.closure_state.
+    """The t = 0 state, built by evolve.closure_state with its first k1.
 
-    A wave state keeps the profile's strength; a Muskat state's comes from the
-    closure, and a contrast state also carries its first k1.
+    A wave state keeps the profile's strength, a Muskat state takes the
+    closure's; an equal-viscosity state alone carries no k1 (no set-up pass).
     """
     curve, omega = build_initial(parsed.initial, parsed.sim.grid)
     return closure_state(curve, 0.0, parsed.sim, omega)
@@ -61,6 +61,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not -len(snapshots) <= args.index < len(snapshots):
         raise ValidationError(f"no snapshot {args.index} among the {len(snapshots)} stored")
     t, curve = snapshots[args.index]
+    if curve.grid != parsed.sim.grid:
+        raise ValidationError(f"snapshot grid {curve.grid} is not the config's {parsed.sim.grid}")
     state = closure_state(curve, t, parsed.sim)
     omega_source = "model closure"
     if parsed.sim.model is Model.WATER_WAVES:

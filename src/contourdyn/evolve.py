@@ -10,13 +10,12 @@ The mask pins the decay bands to the exact flat state, which is the truncated
 domain's far-field closure; the suppressed motion is the O(1/distance^2) tail
 the truncation drops anyway.  Classical RK4 does the stepping; for Muskat the
 sheet strength is re-solved from the curve at every stage, for water waves the
-pair (z, omega) advances jointly.  A stage solves the closure from the previous
-stage's solution: muskat.solve_vorticity or waterwaves.omega_rhs, each of which
-decides whether it holds the curve's operator (a viscosity contrast's Picard
-solve, the wave rate at A != 0) and gives the velocity from it.  closure_state
-is the one place that gives a state its strength, for an initial state, an
-accepted step and a stored snapshot alike; a contrast state also carries its
-field from the held operator: the next k1.
+pair (z, omega) advances jointly.  _evaluate is the one closure dispatch:
+muskat.solve_vorticity or waterwaves.omega_rhs, iterated from a nearby
+solution x, gives x (the Muskat omega or the wave rate) and the velocity from
+the operator the closure held.  closure_state gives every state, initial,
+accepted or read from a snapshot, its x and masked field, the next k1; an
+equal-viscosity closure holds no operator, so its state carries no field.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -34,7 +33,7 @@ import numpy as np
 from . import muskat, waterwaves
 from .analysis import BLOWUP_CAP, CHORD_ARC_CAP, DepthDiagnostics, depth_rate
 from .errors import BottomContact, ContourError, NoConvergence, StabilityFailure, ValidationError
-from .geometry import FloatArray, Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask
+from .geometry import FloatArray, Grid, InterfaceCurve, Model, PhysicalParams
 from .kernels import VorticityStrength, pv_all_nodes
 
 logger = logging.getLogger(__name__)
@@ -90,7 +89,8 @@ class SimState:
     curve: InterfaceCurve
     omega: VorticityStrength
     t: float = 0.0
-    # a contrast state's masked velocity (closure_state): the next k1 under that config only
+    # closure_state's x and masked field: the next step's x1 and k1 under accepted_under only
+    x: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     field: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     accepted_under: SimConfig | None = dataclasses.field(default=None, compare=False, repr=False)
 
@@ -113,20 +113,23 @@ class RunSummary:
     message: str = ""
 
 
-def _stage_field(curve: InterfaceCurve, y: FloatArray, config: SimConfig, mask: FloatArray, guess):
-    """(closure x, masked field) of one stage curve; ``y`` carries a wave state's omega.
+def _evaluate(curve: InterfaceCurve, config: SimConfig, omega: VorticityStrength | None, guess):
+    """(strength, x, masked field) of ``curve`` under ``config``'s closure, iterated from ``guess``.
 
-    x is Muskat's omega or the unmasked wave rate, iterated from ``guess``.  The
-    velocity is one apply of the operator the closure held, else one fused pass.
+    A wave curve keeps ``omega`` (zero if None) and x is its rate; a Muskat
+    curve's strength is the closure's and x its omega.  The velocity is one
+    apply of the held operator, or the wave rate's fused pass at A = 0; with
+    no operator an equal-viscosity field would cost one more pass: None.
     """
-    params = config.params
+    mask = curve.grid.far_field_mask
     if config.model is Model.WATER_WAVES:
-        omega = VorticityStrength(config.grid, y[2], validate=False)
-        rate, (u, v) = waterwaves.omega_rhs(curve, omega, params, guess=guess)
-        return rate, np.stack((mask * u, mask * v, mask * rate))
-    omega, operator = muskat.solve_vorticity(curve, params, guess)
-    u, v = pv_all_nodes(curve, omega, operator)
-    return omega.omega, np.stack((mask * u, mask * v))
+        if omega is None:  # a snapshot stores no strength
+            omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
+        rate, (u, v) = waterwaves.omega_rhs(curve, omega, config.params, guess=guess)
+        return omega, rate, mask * np.stack((u, v, rate))
+    omega, operator = muskat.solve_vorticity(curve, config.params, guess)
+    field = None if operator is None else mask * np.stack(pv_all_nodes(curve, omega, operator))
+    return omega, omega.omega, field
 
 
 def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatArray) -> SimState:
@@ -143,7 +146,7 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatAr
     if curve.chord_arc > CHORD_ARC_CAP:
         raise StabilityFailure(t_new, "chord-arc constant", curve.chord_arc)
     curve.check_invariants()
-    omega = VorticityStrength(config.grid, y[2]) if config.model is Model.WATER_WAVES else None
+    omega = VorticityStrength(config.grid, y[2]) if len(y) == 3 else None
     return closure_state(curve, t_new, config, omega, guess)
 
 
@@ -151,44 +154,39 @@ def closure_state(
     curve: InterfaceCurve, t: float, config: SimConfig,
     omega: VorticityStrength | None = None, guess: FloatArray | None = None,
 ) -> SimState:
-    """The state of ``curve`` at ``t`` with the strength its model gives it.
+    """The state of ``curve`` at ``t`` with its x and field under ``config``, from ``guess``.
 
-    A wave state takes its prognostic ``omega`` (zero if none is given).  A
-    Muskat state's strength is the closure's, solved from ``guess``; when that
-    solve held the operator, one more apply of it gives the state's field, the
-    next step's k1 under ``config``.
+    A wave state keeps ``omega``, a Muskat state takes the closure's.  An
+    equal-viscosity state carries no field: that one more fused pass, 45-60 ms
+    at N = 2048, would land in the set-up of every initial state.
     """
-    if config.model is Model.WATER_WAVES:
-        if omega is None:  # a snapshot stores no strength
-            omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
-        return SimState(curve, omega, t)
-    omega, operator = muskat.solve_vorticity(curve, config.params, guess)
-    if operator is None:  # here the field would cost one more pass
-        return SimState(curve, omega, t)
-    field = far_field_mask(curve.grid) * np.stack(pv_all_nodes(curve, omega, operator))
-    return SimState(curve, omega, t, field, config)
+    omega, x, field = _evaluate(curve, config, omega, guess)
+    return SimState(curve, omega, t, x, field, None if field is None else config)
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One classical RK4 step of the masked system, with post-step checks.
 
-    ``dt`` defaults to config.capped_dt(), the step run takes.  A stage's closure
-    iterates from stage i-1's x, stage 4's from 2 x3 - x1 (linear in stage time),
-    the acceptance's from x4.  A contrast state made under ``config`` (initial or
-    accepted) holds its x1, so k1 solves nothing; the wave k1 starts cold.
+    ``dt`` defaults to config.capped_dt(), the step run takes.  A state made under
+    ``config`` by closure_state holds x1 and k1; any other's k1 iterates from its x.
+    Stage i iterates from x(i-1), stage 4 from 2 x3 - x1 (linear in stage time) and
+    the acceptance, whose failed closure rejects the step, from x4.
     """
     dt = config.capped_dt() if dt is None else float(dt)
-    mask = far_field_mask(config.grid)
-    waves = config.model is Model.WATER_WAVES
+    waves = config.model is Model.WATER_WAVES  # the state vector's rows: (z1, z2[, omega])
     y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
 
     def stage(y: FloatArray, guess: FloatArray | None):
         curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-        return _stage_field(curve, y, config, mask, guess)
+        omega = VorticityStrength(config.grid, y[2], validate=False) if waves else None
+        omega, x, field = _evaluate(curve, config, omega, guess)
+        if field is None:  # the explicit closure: the velocity is one fused pass
+            field = curve.grid.far_field_mask * np.stack(pv_all_nodes(curve, omega))
+        return x, field
 
-    x1, k1 = state.omega.omega, state.field
+    x1, k1 = state.x, state.field
     if state.accepted_under != config:
-        x1, k1 = stage(y0, None if waves else x1)
+        x1, k1 = stage(y0, state.x)
     x2, k2 = stage(y0 + 0.5 * dt * k1, x1)
     x3, k3 = stage(y0 + 0.5 * dt * k2, x2)
     x4, k4 = stage(y0 + dt * k3, 2.0 * x3 - x1)

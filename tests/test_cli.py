@@ -112,11 +112,21 @@ class TestRun:
         assert head[1].startswith("# config_sha256=")
         assert head[2].split(",")[0:4] == ["t", "m", "alpha_star", "dmdt"]
 
-    def test_identical_configs_identical_files(self, stable_cfg, tmp_path):
+    @pytest.mark.parametrize("config", ["relaxation", "contrast", "waves"])
+    def test_identical_configs_identical_files(self, tmp_path, config):
+        # contrast and wave states carry their evaluation into the next step
+        contrast = STABLE_CFG.replace("[physics]\n", "[physics]\nmu_plus = 2.0\nmu_minus = 0.5\n")
+        text = {
+            "relaxation": STABLE_CFG,
+            "contrast": contrast.replace("t_end = 0.3", "t_end = 0.1"),
+            "waves": (CONFIGS / "internal_wave.cfg").read_text().replace("t_end = 2.0", "t_end = 0.2"),
+        }[config]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["run", "--config", stable_cfg, "--out", str(out)]) == 0
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append(out)
         for fname in ("diagnostics.csv", "snapshots.jsonl", "summary.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
@@ -327,6 +337,20 @@ class TestAnalyze:
             ("omega_c1", "omega_c1_norm"),
         ]:
             assert record[key] == row[column][0], key
+
+    def test_snapshot_from_another_grid_exit_code(self, tmp_path, capsys):
+        # a wave run's N = 128 snapshot read under the shipped N = 256 config
+        cfg = tmp_path / "coarse.cfg"
+        text = (CONFIGS / "internal_wave.cfg").read_text()
+        cfg.write_text(text.replace("N = 256", "N = 128").replace("t_end = 2.0", "t_end = 0.02"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        shipped = str(CONFIGS / "internal_wave.cfg")
+        assert main(["analyze", "--config", shipped, "--in", str(out / "snapshots.jsonl")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "node_count=128" in record["detail"] and "node_count=256" in record["detail"]
 
     def test_index_out_of_range_exit_code(self, stable_cfg, tmp_path, capsys):
         out = tmp_path / "out"

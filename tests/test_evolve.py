@@ -16,10 +16,25 @@ from contourdyn.kernels import VorticityStrength, node_operator, solve_tangentia
 from contourdyn.muskat import solve_vorticity_equal
 from contourdyn.profiles import InitialSpec, build_initial, plateau_window
 
-from support import MemorySink, bump_curve, count_calls, gaussian_strength
+from support import MemorySink, bump_curve, count_calls, gaussian_strength, resubstitution_gap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONTRAST = {"mu_plus": 2.0, "mu_minus": 0.5}
+# equal densities (A = 0) hold no operator; surface tension sets the sheet moving
+WAVES_EQUAL = {"rho_plus": 2.0, "gamma": 0.01}
+# each closure whose state carries its field
+CLOSURES = [
+    pytest.param("stable_relaxation.cfg", CONTRAST, id="contrast"),
+    pytest.param("internal_wave.cfg", {}, id="waves"),
+    pytest.param("internal_wave.cfg", WAVES_EQUAL, id="waves-equal"),
+]
+
+
+def shipped(config: str, physics: dict):
+    """A shipped config with ``physics`` replacing some of its parameters."""
+    parsed = parse_config(str(CONFIGS / config))
+    params = dataclasses.replace(parsed.sim.params, **physics)
+    return dataclasses.replace(parsed, sim=dataclasses.replace(parsed.sim, params=params))
 
 
 def stable_params(**kw) -> PhysicalParams:
@@ -130,27 +145,45 @@ class TestStep:
         return s.curve.z1.tobytes() + s.curve.z2.tobytes() + s.omega.omega.tobytes()
 
     @pytest.mark.parametrize("made_by", ["step", "initial_state"])
-    def test_accepted_field_is_the_next_k1(self, grid256, made_by):
-        # a contrast state keeps its velocity from its closure solve: the
-        # masked velocity on the state curve's operator, bit for bit
+    @pytest.mark.parametrize("config, physics", CLOSURES)
+    def test_accepted_field_is_the_next_k1(self, config, physics, made_by):
+        # a state keeps the evaluation its closure made: the masked velocity,
+        # bit for bit, and for waves the masked rate, which resubstitutes
+        parsed = shipped(config, physics)
+        state = initial_state(parsed)
         if made_by == "step":
-            params = stable_params(mu_plus=2.0, mu_minus=0.5)
-            cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=1.0)
-            state = step(trough_state(grid256, stable_params()), cfg)
+            state = step(state, parsed.sim)
+        assert state.field is not None and state.accepted_under == parsed.sim
+        params = parsed.sim.params
+        # the velocity its closure made: one apply of the held operator, or at A = 0 one fused pass
+        held = None if params.atwood == 0.0 else node_operator(state.curve)
+        velocity = pv_all_nodes(state.curve, state.omega, held)
+        mask = far_field_mask(state.curve.grid)
+        assert np.array_equal(state.field[:2], mask * np.stack(velocity))
+        if params.model is Model.MUSKAT:
+            assert np.array_equal(state.x, state.omega.omega)
         else:
-            parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
-            params = dataclasses.replace(parsed.sim.params, **CONTRAST)
-            cfg = dataclasses.replace(parsed.sim, params=params)
-            state = initial_state(dataclasses.replace(parsed, sim=cfg))
-        assert state.field is not None and state.accepted_under == cfg
-        velocity = pv_all_nodes(state.curve, state.omega, node_operator(state.curve))
-        assert np.array_equal(state.field, far_field_mask(state.curve.grid) * np.stack(velocity))
+            assert np.array_equal(state.field[2], mask * state.x)
+            gap = resubstitution_gap(state.curve, state.omega, params, state.x, velocity)
+            assert gap <= 10.0 * kernels.FIXED_POINT_TOL
 
-    def test_field_from_another_config_is_not_reused(self, grid256):
-        params = stable_params(mu_plus=2.0, mu_minus=0.5)
-        accepted = SimConfig(params=params, grid=grid256, dt=0.01, t_end=1.0)
-        stepped = dataclasses.replace(accepted, params=stable_params(mu_plus=5.0, mu_minus=0.5))
-        state = step(trough_state(grid256, stable_params()), accepted)
+    def test_equal_viscosity_state_carries_no_field(self):
+        # its closure holds no operator: a field would cost one more fused pass
+        state = initial_state(parse_config(str(CONFIGS / "stable_relaxation.cfg")))
+        assert state.field is None and state.accepted_under is None
+
+    @pytest.mark.parametrize(
+        "config, physics, other",
+        [
+            pytest.param("stable_relaxation.cfg", CONTRAST, {"mu_plus": 5.0}, id="contrast"),
+            pytest.param("internal_wave.cfg", {}, {"g": 2.0}, id="waves"),
+            pytest.param("internal_wave.cfg", WAVES_EQUAL, {"gamma": 0.02}, id="waves-equal"),
+        ],
+    )
+    def test_field_from_another_config_is_not_reused(self, config, physics, other):
+        accepted = shipped(config, physics).sim
+        stepped = dataclasses.replace(accepted, params=dataclasses.replace(accepted.params, **other))
+        state = step(initial_state(shipped(config, physics)), accepted)
         stripped = dataclasses.replace(state, field=None)
         assert self.stepped_bytes(state, stepped) == self.stepped_bytes(stripped, stepped)
         # the guard matters: the stale field as k1 would move the result
@@ -163,9 +196,8 @@ class TestStep:
 
         ``cold`` drops every guess, so each solve starts from weight * rhs.
         """
-        parsed = parse_config(str(CONFIGS / config))
-        sim = dataclasses.replace(parsed.sim, params=dataclasses.replace(parsed.sim.params, **physics))
-        state = initial_state(dataclasses.replace(parsed, sim=sim))
+        parsed = shipped(config, physics)
+        state = initial_state(parsed)
         per_step = []
 
         def counted(*args, guess=None, **kw):
@@ -178,14 +210,14 @@ class TestStep:
                 patch.setattr(module, "solve_tangential", counted)
             for _ in range(steps):
                 per_step.append(0)
-                state = step(state, sim)
+                state = step(state, parsed.sim)
         return state, per_step
 
     @pytest.mark.parametrize(
         "config, physics, cold_iterations, bound",
         [
             pytest.param("stable_relaxation.cfg", CONTRAST, 92, 40, id="contrast"),
-            pytest.param("internal_wave.cfg", {}, 40, 30, id="waves"),
+            pytest.param("internal_wave.cfg", {}, 40, 20, id="waves"),
         ],
     )
     def test_warm_closure_iterations(self, config, physics, cold_iterations, bound):
@@ -284,9 +316,8 @@ class TestRun:
     def test_no_convergence_reported_not_raised(self, monkeypatch):
         # a closure solve that runs out of iterations ends the run at step 0,
         # and the initial state, solved under the full cap, is still written
-        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
-        sim = dataclasses.replace(parsed.sim, params=dataclasses.replace(parsed.sim.params, **CONTRAST))
-        state = initial_state(dataclasses.replace(parsed, sim=sim))
+        parsed = shipped("stable_relaxation.cfg", CONTRAST)
+        sim, state = parsed.sim, initial_state(parsed)
         monkeypatch.setattr(kernels, "MAX_FIXED_POINT_ITER", 1)
         sink = MemorySink()
         summary = run(sim, state, [sink])

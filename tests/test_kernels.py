@@ -273,9 +273,8 @@ class TestOneOperator:
     def test_assemblies_per_step(self, config, physics, n, fused, assembled):
         # one pair pass per distinct curve: a fused pass for each RK stage's
         # one-shot velocity; an operator for each repeatedly applied curve,
-        # the Picard solves of stages 2-4 and the accepted curve (contrast:
-        # the initial state holds its k1) or each
-        # stage's implicit rate and velocity (waves, A != 0)
+        # the Picard solve or the implicit rate and velocity (waves, A != 0)
+        # of stages 2-4 and the accepted curve (the initial state holds its k1)
         parsed = with_grid(parse_config(str(CONFIGS / config)), n)
         if physics:
             params = dataclasses.replace(parsed.sim.params, **physics)
@@ -326,17 +325,25 @@ class TestOneOperator:
         tol = np.sqrt(n) * np.finfo(np.float64).eps * terms * np.sqrt(curve.speed_squared)
         assert np.all(np.abs(v_dot_t - (u * d1x + v * d1y)) <= tol)
 
-    def test_second_contrast_step_reuses_accepted_field(self):
-        # the accepted state's solve holds the operator, so its velocity is
-        # the next step's k1: three stage operators and the accepted one
-        parsed = with_grid(parse_config(str(CONFIGS / "stable_relaxation.cfg")), 128)
-        params = dataclasses.replace(parsed.sim.params, mu_plus=2.0, mu_minus=0.5)
+    @pytest.mark.parametrize(
+        "config, physics, fused, assembled",
+        [
+            pytest.param("stable_relaxation.cfg", CONTRAST, 0, 4, id="contrast"),
+            pytest.param("internal_wave.cfg", {}, 0, 4, id="waves"),
+            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 4, 0, id="waves-equal"),
+        ],
+    )
+    def test_second_contrast_step_reuses_accepted_field(self, config, physics, fused, assembled):
+        # the accepted state's closure gives its velocity, the next step's k1:
+        # three stage passes and the accepted one, operators unless A = 0
+        parsed = with_grid(parse_config(str(CONFIGS / config)), 128)
+        params = dataclasses.replace(parsed.sim.params, **physics)
         parsed = dataclasses.replace(parsed, sim=dataclasses.replace(parsed.sim, params=params))
         state = step(initial_state(parsed), parsed.sim)
         before = dict(kernels.pair_passes)
         step(state, parsed.sim)
         counts = {k: kernels.pair_passes[k] - before[k] for k in before}
-        assert counts == {"fused": 0, "assembly": 4}
+        assert counts == {"fused": fused, "assembly": assembled}
 
     def test_no_runtime_warnings(self, grid256):
         curve = bump_curve(grid256, 0.3)

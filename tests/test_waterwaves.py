@@ -10,7 +10,7 @@ from contourdyn import kernels
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config
 from contourdyn.errors import ValidationError
-from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, fd_derivative
+from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
 from contourdyn.kernels import (
     VorticityStrength,
     node_operator,
@@ -21,7 +21,7 @@ from contourdyn.kernels import (
 from contourdyn.evolve import run
 from contourdyn.waterwaves import bracket_term, omega_rhs
 
-from support import bump_curve, gaussian_strength
+from support import bump_curve, gaussian_strength, resubstitution_gap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -44,15 +44,6 @@ def bracket(curve: InterfaceCurve, omega: VorticityStrength, params: PhysicalPar
 
 def wave_state(grid: Grid, amplitude: float = 0.05, omega_amp: float = 0.1):
     return bump_curve(grid, amplitude), gaussian_strength(grid, amplitude=omega_amp)
-
-
-def resubstitution_gap(curve, omega, params, rate, velocity) -> float:
-    """max |explicit + 2A (d_zdot(V . T)[omega] + T.K rate) - rate|: 0 for the exact rate."""
-    op = node_operator(curve)
-    explicit = -fd_derivative(bracket_term(curve, omega, velocity, params), curve.grid.spacing, 1)
-    moving = tangential_velocity_rate(curve, omega.omega, velocity, op)
-    resub = explicit + 2.0 * params.atwood * (moving + tangential_velocity(curve, rate, op))
-    return float(np.max(np.abs(resub - rate)))
 
 
 class TestBracket:
