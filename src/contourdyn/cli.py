@@ -20,13 +20,16 @@ import json
 import logging
 import sys
 
-from . import __version__
+import numpy as np
+
+from . import __version__, muskat
 from .analysis import continuation_report, fit_double_exponential, identity_defect
 from .config import ParsedConfig, parse_config, with_grid
 from .errors import ConfigError, ContourError, ValidationError
 from .evolve import SimState, closure_state, run as run_simulation
 from .geometry import Model
 from .io import read_diagnostics, read_snapshots, run_sinks, stamp, write_identity, write_summary
+from .kernels import VorticityStrength
 from .profiles import build_initial
 
 logger = logging.getLogger(__name__)
@@ -63,11 +66,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t, curve = snapshots[args.index]
     if curve.grid != parsed.sim.grid:
         raise ValidationError(f"snapshot grid {curve.grid} is not the config's {parsed.sim.grid}")
-    state = closure_state(curve, t, parsed.sim)
-    omega_source = "model closure"
     if parsed.sim.model is Model.WATER_WAVES:
+        omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
         omega_source = "zero (sheet strength is prognostic and not stored in snapshots)"
-    report = continuation_report(curve, state.omega, parsed.sim.params, t=t)
+    else:
+        omega = muskat.solve_vorticity(curve, parsed.sim.params)[0]
+        omega_source = "model closure"
+    report = continuation_report(curve, omega, parsed.sim.params, t=t)
     value_i, value_it, defect = identity_defect(curve)
     record = dataclasses.asdict(report)
     record.update(identity_I=value_i, identity_Itilde=value_it, identity_defect=defect,

@@ -121,7 +121,10 @@ def parse_config_text(text: str) -> ParsedConfig:
     params = PhysicalParams(model=model, **physics_kv)
     grid = Grid(half_width=grid_kv["L"], node_count=grid_kv["N"])
     sim = SimConfig(params=params, grid=grid, **output_kv)
-    return _stamped(sim, InitialSpec(**initial_kv))
+    initial = InitialSpec(**initial_kv)
+    if model is Model.MUSKAT and initial.omega_profile != "zero":
+        raise ValidationError("muskat takes omega from its closure: omega_profile must be zero")
+    return _stamped(sim, initial)
 
 
 def _stamped(sim: SimConfig, initial: InitialSpec) -> ParsedConfig:

@@ -13,9 +13,9 @@ sheet strength is re-solved from the curve at every stage, for water waves the
 pair (z, omega) advances jointly.  _evaluate is the one closure dispatch:
 muskat.solve_vorticity or waterwaves.omega_rhs, iterated from a nearby
 solution x, gives x (the Muskat omega or the wave rate) and the velocity from
-the operator the closure held.  closure_state gives every state, initial,
-accepted or read from a snapshot, its x and masked field, the next k1; an
-equal-viscosity closure holds no operator, so its state carries no field.
+the operator the closure held.  closure_state gives every run state, initial
+or accepted, its x and masked field, the next k1; an equal-viscosity closure
+holds no operator, so its state carries no field.
 
 Bottom contact is detected and reported, never clamped: a step that drives the
 minimum depth to the contact tolerance terminates the run with BottomContact.
@@ -116,15 +116,13 @@ class RunSummary:
 def _evaluate(curve: InterfaceCurve, config: SimConfig, omega: VorticityStrength | None, guess):
     """(strength, x, masked field) of ``curve`` under ``config``'s closure, iterated from ``guess``.
 
-    A wave curve keeps ``omega`` (zero if None) and x is its rate; a Muskat
-    curve's strength is the closure's and x its omega.  The velocity is one
-    apply of the held operator, or the wave rate's fused pass at A = 0; with
-    no operator an equal-viscosity field would cost one more pass: None.
+    A wave curve keeps ``omega`` and x is its rate; a Muskat curve's strength
+    is the closure's and x its omega.  The velocity is one apply of the held
+    operator, or the wave rate's fused pass at A = 0; with no operator an
+    equal-viscosity field would cost one more pass: None.
     """
     mask = curve.grid.far_field_mask
     if config.model is Model.WATER_WAVES:
-        if omega is None:  # a snapshot stores no strength
-            omega = VorticityStrength(curve.grid, np.zeros(curve.grid.node_count))
         rate, (u, v) = waterwaves.omega_rhs(curve, omega, config.params, guess=guess)
         return omega, rate, mask * np.stack((u, v, rate))
     omega, operator = muskat.solve_vorticity(curve, config.params, guess)
@@ -152,7 +150,7 @@ def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatAr
 
 def closure_state(
     curve: InterfaceCurve, t: float, config: SimConfig,
-    omega: VorticityStrength | None = None, guess: FloatArray | None = None,
+    omega: VorticityStrength | None, guess: FloatArray | None = None,
 ) -> SimState:
     """The state of ``curve`` at ``t`` with its x and field under ``config``, from ``guess``.
 
@@ -167,12 +165,15 @@ def closure_state(
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One classical RK4 step of the masked system, with post-step checks.
 
-    ``dt`` defaults to config.capped_dt(), the step run takes.  A state made under
-    ``config`` by closure_state holds x1 and k1; any other's k1 iterates from its x.
-    Stage i iterates from x(i-1), stage 4 from 2 x3 - x1 (linear in stage time) and
-    the acceptance, whose failed closure rejects the step, from x4.
+    ``dt``, finite and positive, defaults to config.capped_dt(), the step run takes.
+    A state made under ``config`` by closure_state holds x1 and k1; any other's k1
+    iterates from its x.  Stage i iterates from x(i-1), stage 4 from 2 x3 - x1
+    (linear in stage time) and the acceptance, whose failed closure rejects the
+    step, from x4.
     """
     dt = config.capped_dt() if dt is None else float(dt)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be finite and positive, got {dt}")
     waves = config.model is Model.WATER_WAVES  # the state vector's rows: (z1, z2[, omega])
     y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
 
@@ -204,6 +205,10 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
     events (bottom contact, stability failure, solver stall) end the run and
     are recorded in the summary instead of propagating.
     """
+    if initial.curve.grid != config.grid:
+        raise ValidationError(
+            f"initial state's grid {initial.curve.grid} is not the config's {config.grid}"
+        )
     sinks = tuple(sinks)
     dt = config.capped_dt()
     if dt < config.dt:

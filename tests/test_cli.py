@@ -17,6 +17,8 @@ from contourdyn.cli import _build_parser, main
 from contourdyn.config import parse_config
 from contourdyn.io import read_diagnostics, read_snapshots
 
+from support import count_calls
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FLAT_CFG = """
@@ -203,6 +205,18 @@ class TestRun:
         assert record["error"] == "ValidationError"
         assert key in record["detail"]
 
+    def test_muskat_omega_profile_exit_code(self, tmp_path, capsys):
+        # the Darcy closure sets omega: a strength profile under muskat is an error, not ignored
+        bad = tmp_path / "bad.cfg"
+        text = (CONFIGS / "stable_relaxation.cfg").read_text()
+        extra = "omega_profile = gaussian\nomega_amplitude = 5.0\nomega_center = 19.0\n"
+        bad.write_text(text.replace("[initial]\n", "[initial]\n" + extra))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "omega_profile" in record["detail"] and "muskat" in record["detail"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
@@ -337,6 +351,41 @@ class TestAnalyze:
             ("omega_c1", "omega_c1_norm"),
         ]:
             assert record[key] == row[column][0], key
+
+    def run_and_analyze(self, cfg, tmp_path, capsys, monkeypatch):
+        """Pair passes by kind and velocity applies of analyze on a run's t = 0 snapshot."""
+        from contourdyn import evolve
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        calls = [count_calls(monkeypatch, module, ["pv_all_nodes"]) for module in (kernels, evolve)]
+        before = dict(kernels.pair_passes)
+        snapshots = str(out / "snapshots.jsonl")
+        assert main(["analyze", "--config", str(cfg), "--in", snapshots, "--index", "0"]) == 0
+        passes = {k: kernels.pair_passes[k] - before[k] for k in before}
+        applies = sum(c["pv_all_nodes"] for c in calls)
+        return passes, applies, json.loads(capsys.readouterr().out)
+
+    def test_wave_analyze_makes_no_pair_pass(self, tmp_path, capsys, monkeypatch):
+        # the report's strength is the zero a snapshot implies: no wave closure runs
+        cfg = tmp_path / "wave.cfg"
+        text = (CONFIGS / "internal_wave.cfg").read_text()
+        cfg.write_text(text.replace("t_end = 2.0", "t_end = 0.02"))
+        passes, applies, record = self.run_and_analyze(cfg, tmp_path, capsys, monkeypatch)
+        assert passes == {"assembly": 0, "fused": 0}
+        assert applies == 0
+        assert record["omega_source"].startswith("zero")
+
+    def test_contrast_analyze_makes_one_assembly(self, tmp_path, capsys, monkeypatch):
+        # the closure's Picard solve on its one operator, and no velocity from it
+        cfg = tmp_path / "contrast.cfg"
+        text = STABLE_CFG.replace("[physics]\n", "[physics]\nmu_plus = 2.0\nmu_minus = 0.5\n")
+        cfg.write_text(text.replace("t_end = 0.3", "t_end = 0.02"))
+        passes, applies, record = self.run_and_analyze(cfg, tmp_path, capsys, monkeypatch)
+        assert passes == {"assembly": 1, "fused": 0}
+        assert applies == 0
+        assert record["omega_source"] == "model closure"
 
     def test_snapshot_from_another_grid_exit_code(self, tmp_path, capsys):
         # a wave run's N = 128 snapshot read under the shipped N = 256 config

@@ -1,6 +1,7 @@
 """Time integration: equilibria, convergence order, monitors, determinism."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from contourdyn import geometry, kernels, muskat, waterwaves
 from contourdyn.cli import initial_state
-from contourdyn.config import parse_config
+from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import BottomContact, StabilityFailure, ValidationError
 from contourdyn.evolve import SimConfig, SimState, pv_all_nodes, run, step
 from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask, min_depth
@@ -244,6 +245,16 @@ class TestStep:
                    np.max(np.abs(warm.curve.z2 - cold.curve.z2))) <= 1e-10
         assert np.max(np.abs(warm.omega.omega - cold.omega.omega)) <= 1e-9
 
+    @pytest.mark.parametrize("dt", [-0.005, 0.0, float("nan"), float("inf")])
+    def test_explicit_dt_must_be_finite_and_positive(self, dt):
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        state = initial_state(parsed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="dt must be finite and positive"):
+                step(state, parsed.sim, dt=dt)
+        assert not caught
+
     def test_surface_tension_cap_pairs(self):
         # the raw step blows up on the stiff curvature term; the capped run
         # of the same configuration completes
@@ -286,6 +297,16 @@ class TestRun:
         values = {"dt": 0.01, "t_end": 1.0, key: float("nan")}
         with pytest.raises(ValidationError, match=key):
             SimConfig(params=stable_params(), grid=grid256, **values)
+
+    def test_initial_state_on_another_grid(self):
+        # an N = 128 state under the N = 256 config: an error before any sink sees a row
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        coarse = initial_state(with_grid(parsed, 128))
+        sink = MemorySink()
+        with pytest.raises(ValidationError) as err:
+            run(parsed.sim, coarse, [sink])
+        assert "node_count=128" in str(err.value) and "node_count=256" in str(err.value)
+        assert sink.diagnostics == [] and sink.snapshots == []
 
     def test_zero_length_run(self, grid256):
         params = stable_params()
