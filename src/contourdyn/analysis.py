@@ -306,8 +306,6 @@ def fit_double_exponential(
         c_cert = _bisect(gap, 1e-8, hi)
 
     c_fit = max(c_lsq, c_cert)
-    if c_fit <= 0.0:
-        raise FitFailure("fit produced a non-positive constant")
     resid = float(np.sqrt(np.mean(residual(c_fit) ** 2)))
     certified = gap(c_fit) >= -1e-12
     return BoundFit(

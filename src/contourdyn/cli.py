@@ -40,7 +40,7 @@ EXIT_RUNTIME = 3
 
 
 def initial_state(parsed: ParsedConfig) -> SimState:
-    """The t = 0 state, built by evolve.closure_state with its first k1.
+    """The t = 0 run state: evolve.closure_state's checks and closure, with its first k1.
 
     A wave state keeps the profile's strength, a Muskat state takes the
     closure's; an equal-viscosity state alone carries no k1 (no set-up pass).
@@ -51,7 +51,7 @@ def initial_state(parsed: ParsedConfig) -> SimState:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
-    state = initial_state(parsed)  # before the directory: a failed closure leaves none
+    state = initial_state(parsed)  # before the directory: a failed check or closure leaves none
     with run_sinks(args.out, parsed.sha256, __version__) as sinks:
         summary = run_simulation(parsed.sim, state, sinks)
     print(json.dumps(write_summary(args.out, summary, parsed.sha256, __version__)))

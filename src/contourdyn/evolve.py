@@ -13,12 +13,13 @@ sheet strength is re-solved from the curve at every stage, for water waves the
 pair (z, omega) advances jointly.  _evaluate is the one closure dispatch:
 muskat.solve_vorticity or waterwaves.omega_rhs, iterated from a nearby
 solution x, gives x (the Muskat omega or the wave rate) and the velocity from
-the operator the closure held.  closure_state gives every run state, initial
-or accepted, its x and masked field, the next k1; an equal-viscosity closure
-holds no operator, so its state carries no field.
+the operator the closure held.  closure_state is the one definition of a run
+state, initial or accepted: it checks the curve against the continuation
+hypotheses, then gives it its x and masked field, the next k1; an
+equal-viscosity closure holds no operator, so its state carries no field.
 
-Bottom contact is detected and reported, never clamped: a step that drives the
-minimum depth to the contact tolerance terminates the run with BottomContact.
+Bottom contact is detected and reported, never clamped: a curve at the contact
+tolerance is no run state (BottomContact), at set-up or at a step.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Accepted state of a run; omega always matches the model closure."""
+    """A run state: closure_state makes each one, checked, with the model closure's omega."""
 
     curve: InterfaceCurve
     omega: VorticityStrength
@@ -130,47 +131,46 @@ def _evaluate(curve: InterfaceCurve, config: SimConfig, omega: VorticityStrength
     return omega, omega.omega, field
 
 
-def _check_accept(y: FloatArray, t_new: float, config: SimConfig, guess: FloatArray) -> SimState:
-    """Validity checks on a proposed step; returns the accepted state."""
-    if not np.all(np.isfinite(y)):
-        raise StabilityFailure(t_new, "state", float("nan"))
-    curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-    m = curve.min_depth.m
-    if m <= config.contact_tol:
-        raise BottomContact(t_new, m)
-    worst = max(curve.holder_norms)
-    if worst > BLOWUP_CAP:
-        raise StabilityFailure(t_new, "curve C2 norm", worst)
-    if curve.chord_arc > CHORD_ARC_CAP:
-        raise StabilityFailure(t_new, "chord-arc constant", curve.chord_arc)
-    curve.check_invariants()
-    omega = VorticityStrength(config.grid, y[2]) if len(y) == 3 else None
-    return closure_state(curve, t_new, config, omega, guess)
-
-
 def closure_state(
     curve: InterfaceCurve, t: float, config: SimConfig,
     omega: VorticityStrength | None, guess: FloatArray | None = None,
 ) -> SimState:
-    """The state of ``curve`` at ``t`` with its x and field under ``config``, from ``guess``.
+    """The run state of ``curve`` at ``t`` under ``config``: checked, then evaluated from ``guess``.
 
-    A wave state keeps ``omega``, a Muskat state takes the closure's.  An
-    equal-viscosity state carries no field: that one more fused pass, 45-60 ms
-    at N = 2048, would land in the set-up of every initial state.
+    Initial or accepted, every state passes: min depth above contact_tol, C2 norm
+    and chord-arc constant under their caps, the flatness invariant, the closure.
+    The checks read what the curve caches for its diagnostics row.  A wave state
+    keeps ``omega``, a Muskat state takes the closure's; an equal-viscosity state
+    carries no field (one more fused pass, 45-60 ms at N = 2048, in every set-up).
     """
+    m = curve.min_depth.m
+    if m <= config.contact_tol:
+        raise BottomContact(t, m)
+    worst = max(curve.holder_norms)
+    if worst > BLOWUP_CAP:
+        raise StabilityFailure(t, "curve C2 norm", worst)
+    if curve.chord_arc > CHORD_ARC_CAP:
+        raise StabilityFailure(t, "chord-arc constant", curve.chord_arc)
+    curve.check_invariants()
     omega, x, field = _evaluate(curve, config, omega, guess)
     return SimState(curve, omega, t, x, field, None if field is None else config)
 
 
+def _require_grid(state: SimState, config: SimConfig) -> None:
+    if state.curve.grid != config.grid:
+        raise ValidationError(f"state's grid {state.curve.grid} is not the config's {config.grid}")
+
+
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
-    """One classical RK4 step of the masked system, with post-step checks.
+    """One classical RK4 step of the masked system; the new state is closure_state's.
 
     ``dt``, finite and positive, defaults to config.capped_dt(), the step run takes.
     A state made under ``config`` by closure_state holds x1 and k1; any other's k1
     iterates from its x.  Stage i iterates from x(i-1), stage 4 from 2 x3 - x1
-    (linear in stage time) and the acceptance, whose failed closure rejects the
-    step, from x4.
+    (linear in stage time) and the new state, whose failed check or closure
+    rejects the step, from x4.
     """
+    _require_grid(state, config)
     dt = config.capped_dt() if dt is None else float(dt)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
@@ -191,8 +191,12 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     x2, k2 = stage(y0 + 0.5 * dt * k1, x1)
     x3, k3 = stage(y0 + 0.5 * dt * k2, x2)
     x4, k4 = stage(y0 + dt * k3, 2.0 * x3 - x1)
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _check_accept(y1, state.t + dt, config, x4)
+    y1, t = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), state.t + dt
+    if not np.all(np.isfinite(y1)):
+        raise StabilityFailure(t, "state", float("nan"))
+    curve = InterfaceCurve(config.grid, y1[0], y1[1], validate=False)
+    omega = VorticityStrength(config.grid, y1[2]) if waves else None
+    return closure_state(curve, t, config, omega, x4)
 
 
 def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] = ()) -> RunSummary:
@@ -205,10 +209,7 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
     events (bottom contact, stability failure, solver stall) end the run and
     are recorded in the summary instead of propagating.
     """
-    if initial.curve.grid != config.grid:
-        raise ValidationError(
-            f"initial state's grid {initial.curve.grid} is not the config's {config.grid}"
-        )
+    _require_grid(initial, config)
     sinks = tuple(sinks)
     dt = config.capped_dt()
     if dt < config.dt:

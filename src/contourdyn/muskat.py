@@ -7,20 +7,21 @@ using the one-sided velocity limits gives the linear relation
         = gamma * d(kappa)/dalpha + (rho_+ - rho_-) g * d(z2)/dalpha
           + (mu_+ - mu_-) * (V(z, omega) . dz/dalpha),
 
-where V is the mean (principal-value) sheet velocity.  With equal viscosities
-the nonlocal term drops and omega is explicit; otherwise the relation is a
-second-kind integral equation solved here by Picard iteration, whose natural
+where V is the mean (principal-value) sheet velocity.  The far-field mask M
+keeps omega exactly zero on the decay bands, consistent with the
+truncated-domain far-field closure, so the equation solved is the masked one,
+omega = M (rhs + (mu_+ - mu_-) V . dz/dalpha) / mu_mean.  With equal
+viscosities it is explicit, omega = M rhs / mu_mean (solve_vorticity_equal):
+the viscosity ratio decides the cost of the solve, not its answer.  Otherwise
+it is a second-kind integral equation solved by Picard iteration
+(kernels.solve_tangential, one apply and one masked update per iteration,
+until successive iterates agree to tol in the sup norm), whose natural
 contraction factor is |mu_+ - mu_-| / (mu_+ + mu_-) times the norm of the
 velocity operator.  Only V . dz/dalpha enters, which needs no derivative of
 omega (kernels.tangential_velocity): an iteration is one apply of the curve's
 held operator plus O(N) work.  solve_vorticity decides whether the closure
 holds an operator, and returns it with omega, so a caller's velocity is one
 more apply of it (kernels.pv_all_nodes).
-
-The interior mask keeps omega exactly zero on the decay bands, consistent with
-the truncated-domain far-field closure; the Picard iteration solves this masked
-discrete equation (kernels.solve_tangential, one apply and one masked update
-per iteration) until successive iterates agree to tol in the sup norm.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def equal_viscosity(params: PhysicalParams) -> bool:
 
 
 def solve_vorticity_equal(curve: InterfaceCurve, params: PhysicalParams) -> VorticityStrength:
-    """Closed-form strength mu * omega = rhs for equal viscosities."""
+    """The masked equation's solution at equal viscosities: omega = M rhs / mu."""
     _require_muskat(params)
     if not equal_viscosity(params):
         raise ValidationError(
@@ -77,7 +78,7 @@ def solve_vorticity_equal(curve: InterfaceCurve, params: PhysicalParams) -> Vort
             f"{params.mu_plus} and {params.mu_minus}"
         )
     rhs = vorticity_rhs(curve, params)
-    return VorticityStrength(curve.grid, rhs / params.mu_plus)
+    return VorticityStrength(curve.grid, far_field_mask(curve.grid) * rhs / params.viscosity_mean)
 
 
 def solve_vorticity_general(

@@ -81,18 +81,18 @@ def random_smooth_pair(grid: Grid, rng: np.random.Generator,
     return InterfaceCurve(grid, z1, z2), VorticityStrength(grid, om)
 
 
-def blocked_chord_arc(curve: InterfaceCurve) -> float:
-    """Reference chord-arc pass: fresh sliding windows and temporaries per offset block.
+def blocked_offset_ratios(curve: InterfaceCurve) -> np.ndarray:
+    """Each parameter offset's largest squared ratio k^2 / chord^2, offsets 1 to N - 1.
 
-    ``chord_arc_constant`` must equal this bit for bit and raise the same
-    SelfIntersection message.
+    Fresh sliding windows and temporaries per offset block; raises the
+    SelfIntersection message ``chord_arc_constant`` must raise.
     """
     z1, z2 = curve.z1, curve.z2
     n = z1.size
     # Nodes past the end sit at infinity: their chords never win or collide.
     far = np.full(CHORD_ARC_BLOCK - 1, np.inf)
     z1_far, z2_far = np.concatenate((z1, far)), np.concatenate((z2, far))
-    worst = 0.0
+    ratios = []
     for k0 in range(1, n, CHORD_ARC_BLOCK):
         m = n - k0
         # row r holds the squared chords of the pairs (i, i + k0 + r), i < m
@@ -109,8 +109,18 @@ def blocked_chord_arc(curve: InterfaceCurve) -> float:
                 f"(< {COLLISION_TOL:.1e})"
             )
         offsets = np.arange(k0, k0 + shortest.size, dtype=np.float64)
-        worst = max(worst, float(np.max(offsets * offsets / shortest)))
-    return curve.grid.spacing * float(np.sqrt(worst))
+        ratios.append(offsets * offsets / shortest)
+    return np.concatenate(ratios)
+
+
+def blocked_chord_arc(curve: InterfaceCurve) -> float:
+    """Reference chord-arc pass: h times the root of the largest offset ratio.
+
+    ``chord_arc_constant`` must equal this bit for bit, unless another
+    offset's ratio lies within CHORD_ARC_SLACK of the largest, and raise the
+    same SelfIntersection message.
+    """
+    return curve.grid.spacing * float(np.sqrt(np.max(blocked_offset_ratios(curve))))
 
 
 def node_limit(curve: InterfaceCurve, f: np.ndarray, df: np.ndarray) -> np.ndarray:

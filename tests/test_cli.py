@@ -260,6 +260,17 @@ class TestRun:
         assert record["error"] == "NoConvergence"
         assert not (tmp_path / "o").exists()  # the initial closure failed: no output directory
 
+    def test_initial_state_at_contact_exit_code(self, tmp_path, capsys):
+        # the initial state passes the checks every accepted step passes:
+        # a pinch below contact_tol = 1e-4 ends the set-up, before any file
+        cfg = tmp_path / "contact.cfg"
+        text = (CONFIGS / "unstable_pinch.cfg").read_text()
+        cfg.write_text(text.replace("delta = 0.3", "delta = 5e-5"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "BottomContact" and "at t=0 " in record["detail"]
+        assert not (tmp_path / "o").exists()
+
     def test_terminal_event_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "contact.cfg"
         cfg.write_text(

@@ -1,5 +1,6 @@
 """Time integration: equilibria, convergence order, monitors, determinism."""
 
+import ast
 import dataclasses
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contourdyn import geometry, kernels, muskat, waterwaves
+from contourdyn import evolve, geometry, kernels, muskat, waterwaves
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import BottomContact, StabilityFailure, ValidationError
@@ -245,6 +246,40 @@ class TestStep:
                    np.max(np.abs(warm.curve.z2 - cold.curve.z2))) <= 1e-10
         assert np.max(np.abs(warm.omega.omega - cold.omega.omega)) <= 1e-9
 
+    def test_state_from_another_grid(self):
+        # an N = 128 state under the N = 256 config: the error names both grids
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        coarse = initial_state(with_grid(parsed, 128))
+        with pytest.raises(ValidationError) as err:
+            step(coarse, parsed.sim)
+        assert "node_count=128" in str(err.value) and "node_count=256" in str(err.value)
+
+    def test_continuous_in_the_viscosity_contrast(self):
+        # the explicit and the Picard closure solve one masked equation, so a
+        # contrast of 1e-12 moves the run by roundoff, not by the mask
+        states = []
+        for mu_plus in (1.0 + 1e-12, 1.0):
+            parsed = shipped("stable_relaxation.cfg", {"mu_plus": mu_plus})
+            assert muskat.equal_viscosity(parsed.sim.params) == (mu_plus == 1.0)
+            state = initial_state(parsed)
+            for _ in range(40):
+                state = step(state, parsed.sim)
+            states.append(state)
+        contrast, equal = states
+        assert max(np.max(np.abs(contrast.curve.z1 - equal.curve.z1)),
+                   np.max(np.abs(contrast.curve.z2 - equal.curve.z2))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cap, what", [("BLOWUP_CAP", "C2 norm"), ("CHORD_ARC_CAP", "chord-arc")]
+    )
+    def test_initial_state_beyond_a_cap(self, monkeypatch, cap, what):
+        # the initial state passes the caps every accepted step passes; the
+        # shipped curve's norms are 0.3 and its chord-arc constant 1
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        monkeypatch.setattr(evolve, cap, 0.1)
+        with pytest.raises(StabilityFailure, match=f"{what} .* at t=0$"):
+            initial_state(parsed)
+
     @pytest.mark.parametrize("dt", [-0.005, 0.0, float("nan"), float("inf")])
     def test_explicit_dt_must_be_finite_and_positive(self, dt):
         parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
@@ -382,14 +417,15 @@ class TestRun:
 
     def test_equal_viscosity_strength_closed_form_along_run(self, grid256):
         # at every accepted state the stored strength satisfies the explicit
-        # equal-viscosity relation to roundoff
+        # equal-viscosity case of the masked relation to roundoff
         params = stable_params()
         cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=0.05, snapshot_every=1)
         sink = MemorySink()
         run(cfg, trough_state(grid256, params), [sink])
+        mask = far_field_mask(grid256)
         for _, curve, omega in sink.snapshots:
             d1y = curve.d1[1]
-            expect = params.density_jump * params.g * d1y / params.mu_plus
+            expect = mask * params.density_jump * params.g * d1y / params.viscosity_mean
             assert np.allclose(omega.omega, expect, atol=1e-14)
 
     def test_norms_and_depth_once_per_state(self, grid256, monkeypatch):
@@ -413,3 +449,17 @@ class TestRun:
             assert not derived & set(vars(curve))
             assert "d1" not in vars(omega)
         assert min_depth(sink.snapshots[-1][1]).m == summary.final_min_depth
+
+
+class TestSource:
+    def test_model_read_where_the_rows_are_decided(self):
+        # step's own flag decides the state vector's rows; no state is asked its length
+        text = Path(evolve.__file__).read_text(encoding="utf-8")
+        readers = {
+            f.name for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef) and any(
+                isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "Model"
+                for n in ast.walk(f)
+            )
+        }
+        assert readers == {"capped_dt", "_evaluate", "step"}  # capped_dt: SimConfig's
+        assert "len(y" not in text
