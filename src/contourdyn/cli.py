@@ -28,7 +28,7 @@ from .config import ParsedConfig, parse_config, with_grid
 from .errors import ConfigError, ContourError, ValidationError
 from .evolve import SimState, closure_state, run as run_simulation
 from .geometry import Model
-from .io import read_diagnostics, read_snapshots, run_sinks, stamp, write_identity, write_summary
+from .io import read_diagnostics, read_snapshot, run_sinks, stamp, write_identity, write_summary
 from .kernels import VorticityStrength
 from .profiles import build_initial
 
@@ -40,11 +40,7 @@ EXIT_RUNTIME = 3
 
 
 def initial_state(parsed: ParsedConfig) -> SimState:
-    """The t = 0 run state: evolve.closure_state's checks and closure, with its first k1.
-
-    A wave state keeps the profile's strength, a Muskat state takes the
-    closure's; an equal-viscosity state alone carries no k1 (no set-up pass).
-    """
+    """The t = 0 run state: closure_state's under the config, which run and step advance as made."""
     curve, omega = build_initial(parsed.initial, parsed.sim.grid)
     return closure_state(curve, 0.0, parsed.sim, omega)
 
@@ -60,10 +56,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
-    snapshots = read_snapshots(args.infile)
-    if not -len(snapshots) <= args.index < len(snapshots):
-        raise ValidationError(f"no snapshot {args.index} among the {len(snapshots)} stored")
-    t, curve = snapshots[args.index]
+    t, curve = read_snapshot(args.infile, args.index)
     if curve.grid != parsed.sim.grid:
         raise ValidationError(f"snapshot grid {curve.grid} is not the config's {parsed.sim.grid}")
     if parsed.sim.model is Model.WATER_WAVES:

@@ -14,9 +14,9 @@ pair (z, omega) advances jointly.  _evaluate is the one closure dispatch:
 muskat.solve_vorticity or waterwaves.omega_rhs, iterated from a nearby
 solution x, gives x (the Muskat omega or the wave rate) and the velocity from
 the operator the closure held.  closure_state is the one definition of a run
-state, initial or accepted: it checks the curve against the continuation
-hypotheses, then gives it its x and masked field, the next k1; an
-equal-viscosity closure holds no operator, so its state carries no field.
+state and the only way into step and run: it checks the curve against the
+continuation hypotheses, then gives it its x and masked field, its own k1; an
+equal-viscosity closure holds no operator, so its k1 is one fused pass.
 
 Bottom contact is detected and reported, never clamped: a curve at the contact
 tolerance is no run state (BottomContact), at set-up or at a step.
@@ -85,12 +85,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """A run state: closure_state makes each one, checked, with the model closure's omega."""
+    """A run state: closure_state's, checked; step and run send a bare one through it first."""
 
     curve: InterfaceCurve
     omega: VorticityStrength
     t: float = 0.0
-    # closure_state's x and masked field: the next step's x1 and k1 under accepted_under only
+    # closure_state's x and masked field (None: the explicit closure's), under accepted_under
     x: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     field: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     accepted_under: SimConfig | None = dataclasses.field(default=None, compare=False, repr=False)
@@ -137,12 +137,14 @@ def closure_state(
 ) -> SimState:
     """The run state of ``curve`` at ``t`` under ``config``: checked, then evaluated from ``guess``.
 
-    Initial or accepted, every state passes: min depth above contact_tol, C2 norm
-    and chord-arc constant under their caps, the flatness invariant, the closure.
+    Initial, accepted or entered, every state passes: the config's grid, min depth
+    above contact_tol, C2 norm and chord-arc constant under their caps, flatness, the closure.
     The checks read what the curve caches for its diagnostics row.  A wave state
     keeps ``omega``, a Muskat state takes the closure's; an equal-viscosity state
     carries no field (one more fused pass, 45-60 ms at N = 2048, in every set-up).
     """
+    if curve.grid != config.grid:
+        raise ValidationError(f"state's grid {curve.grid} is not the config's {config.grid}")
     m = curve.min_depth.m
     if m <= config.contact_tol:
         raise BottomContact(t, m)
@@ -153,27 +155,34 @@ def closure_state(
         raise StabilityFailure(t, "chord-arc constant", curve.chord_arc)
     curve.check_invariants()
     omega, x, field = _evaluate(curve, config, omega, guess)
-    return SimState(curve, omega, t, x, field, None if field is None else config)
+    return SimState(curve, omega, t, x, field, config)
 
 
-def _require_grid(state: SimState, config: SimConfig) -> None:
-    if state.curve.grid != config.grid:
-        raise ValidationError(f"state's grid {state.curve.grid} is not the config's {config.grid}")
+def _entered(state: SimState, config: SimConfig) -> SimState:
+    """``state`` if closure_state made it under ``config``, else closure_state's, from its x."""
+    made = state.accepted_under == config
+    return state if made else closure_state(state.curve, state.t, config, state.omega, state.x)
+
+
+def _velocity(curve: InterfaceCurve, omega: VorticityStrength, field: FloatArray | None):
+    """``field``, or where the explicit closure left none, one fused pass of ``omega``, masked."""
+    if field is None:
+        field = curve.grid.far_field_mask * np.stack(pv_all_nodes(curve, omega))
+    return field
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One classical RK4 step of the masked system; the new state is closure_state's.
 
     ``dt``, finite and positive, defaults to config.capped_dt(), the step run takes.
-    A state made under ``config`` by closure_state holds x1 and k1; any other's k1
-    iterates from its x.  Stage i iterates from x(i-1), stage 4 from 2 x3 - x1
-    (linear in stage time) and the new state, whose failed check or closure
-    rejects the step, from x4.
+    A state not made under ``config`` enters through closure_state; x1 and k1 are
+    its own x and velocity.  Stage i iterates from x(i-1), stage 4 from 2 x3 - x1
+    (linear in stage time), and the new state, which a failed check rejects, from x4.
     """
-    _require_grid(state, config)
     dt = config.capped_dt() if dt is None else float(dt)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
+    state = _entered(state, config)
     waves = config.model is Model.WATER_WAVES  # the state vector's rows: (z1, z2[, omega])
     y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
 
@@ -181,13 +190,9 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
         curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
         omega = VorticityStrength(config.grid, y[2], validate=False) if waves else None
         omega, x, field = _evaluate(curve, config, omega, guess)
-        if field is None:  # the explicit closure: the velocity is one fused pass
-            field = curve.grid.far_field_mask * np.stack(pv_all_nodes(curve, omega))
-        return x, field
+        return x, _velocity(curve, omega, field)
 
-    x1, k1 = state.x, state.field
-    if state.accepted_under != config:
-        x1, k1 = stage(y0, state.x)
+    x1, k1 = state.x, _velocity(state.curve, state.omega, state.field)
     x2, k2 = stage(y0 + 0.5 * dt * k1, x1)
     x3, k3 = stage(y0 + 0.5 * dt * k2, x2)
     x4, k4 = stage(y0 + dt * k3, 2.0 * x3 - x1)
@@ -205,11 +210,11 @@ def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] =
     The step size is constant (the surface-tension cap applies once, up
     front), so the final time may overshoot t_end by less than one step.
     Every accepted state gets a diagnostics row; the snapshots are step 0,
-    every ``snapshot_every``-th step and the last accepted state.  Terminal
-    events (bottom contact, stability failure, solver stall) end the run and
-    are recorded in the summary instead of propagating.
+    every ``snapshot_every``-th step and the last accepted state.  The initial
+    state enters as in step (a failed check raises, before any sink call); a
+    terminal event after it ends the run and is recorded in the summary.
     """
-    _require_grid(initial, config)
+    initial = _entered(initial, config)
     sinks = tuple(sinks)
     dt = config.capped_dt()
     if dt < config.dt:

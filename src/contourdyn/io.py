@@ -159,31 +159,43 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-def read_snapshots(path: str) -> list[tuple[float, InterfaceCurve]]:
-    """Read snapshot records after the header on line 1, which must name this format version."""
-    out: list[tuple[float, InterfaceCurve]] = []
+def _json_object(path: str, k: int, line: str) -> dict:
+    """Line ``k`` of the snapshot file ``path``, which must hold a JSON object."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for k, line in enumerate(fh):
-                if k > 0 and not line.strip():
-                    continue
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValidationError(f"snapshot line {k + 1} in {path!r} is not a JSON object")
-                if k > 0:
-                    out.append(curve_from_record(record))
-                    continue
-                found = record.get("format"), record.get("format_version")
-                if found != (SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_VERSION):
-                    raise ValidationError(
-                        f"{path!r} is not a {SNAPSHOT_FORMAT} file of format version "
-                        f"{SNAPSHOT_FORMAT_VERSION}: line 1 has format {found[0]!r}, "
-                        f"format_version {found[1]!r}"
-                    )
-    except OSError as exc:
-        raise ValidationError(f"cannot read snapshots {path!r}: {exc}") from None
+        record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed snapshot record in {path!r}: {exc}") from None
-    if not out:
+    if not isinstance(record, dict):
+        raise ValidationError(f"snapshot line {k} in {path!r} is not a JSON object")
+    return record
+
+
+def _record_lines(path: str) -> list[tuple[int, str]]:
+    """Each record line's (number, text), after a header on line 1 naming this format version."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(k, line) for k, line in enumerate(fh, start=1) if k == 1 or line.strip()]
+    except OSError as exc:
+        raise ValidationError(f"cannot read snapshots {path!r}: {exc}") from None
+    header = _json_object(path, *lines[0]) if lines else {}
+    found = header.get("format"), header.get("format_version")
+    if found != (SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_VERSION):
+        raise ValidationError(f"{path!r} is not a {SNAPSHOT_FORMAT} file of format version "
+                              f"{SNAPSHOT_FORMAT_VERSION}: line 1 has format {found[0]!r}, "
+                              f"format_version {found[1]!r}")
+    if len(lines) < 2:
         raise ValidationError(f"no snapshot records in {path}")
-    return out
+    return lines[1:]
+
+
+def read_snapshot(path: str, index: int) -> tuple[float, InterfaceCurve]:
+    """Snapshot ``index`` of ``path``, the one record decoded."""
+    records = _record_lines(path)
+    if not -len(records) <= index < len(records):
+        raise ValidationError(f"no snapshot {index} among the {len(records)} stored")
+    return curve_from_record(_json_object(path, *records[index]))
+
+
+def read_snapshots(path: str) -> list[tuple[float, InterfaceCurve]]:
+    """Every snapshot of ``path``, in order."""
+    return [curve_from_record(_json_object(path, *line)) for line in _record_lines(path)]

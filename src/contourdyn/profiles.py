@@ -8,7 +8,7 @@ so windowing never limits the order of the finite-difference stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,8 +16,11 @@ from .errors import ValidationError
 from .geometry import DECAY_BAND, DECAY_TOL, FloatArray, Grid, InterfaceCurve
 from .kernels import VorticityStrength
 
-PROFILES = ("flat", "cosine", "pinch", "monotone")
-OMEGA_PROFILES = ("zero", "gaussian")
+# The [initial] keys each profile and omega profile reads; InitialSpec rejects any other.
+PROFILES = {"flat": (), "cosine": ("amplitude", "window_flat", "window_ramp"),
+            "pinch": ("delta", "window_ramp"),
+            "monotone": ("amplitude", "window_flat", "window_ramp", "z1_wiggle")}
+OMEGA_PROFILES = {"zero": (), "gaussian": ("omega_amplitude", "omega_center", "omega_sigma")}
 
 
 def _smooth_step(s: FloatArray) -> FloatArray:
@@ -38,7 +41,7 @@ def plateau_window(x: FloatArray, flat_half: float, ramp: float) -> FloatArray:
 
 @dataclass(frozen=True)
 class InitialSpec:
-    """Declarative description of the initial curve and sheet strength."""
+    """The initial curve and sheet strength; a key their profiles do not read keeps its default."""
 
     profile: str = "flat"
     amplitude: float = 0.0
@@ -56,12 +59,18 @@ class InitialSpec:
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValidationError(f"{key} must be finite, got {value}")
         if self.profile not in PROFILES:
-            raise ValidationError(f"unknown profile {self.profile!r}; choose from {PROFILES}")
+            raise ValidationError(f"unknown profile {self.profile!r}; choose from {tuple(PROFILES)}")
         if self.omega_profile not in OMEGA_PROFILES:
             raise ValidationError(
-                f"unknown omega profile {self.omega_profile!r}; choose from {OMEGA_PROFILES}"
+                f"unknown omega profile {self.omega_profile!r}; choose from {tuple(OMEGA_PROFILES)}"
             )
-        if self.profile == "pinch" and not 0.0 < self.delta < 1.0:
+        read = ("profile", "omega_profile", *PROFILES[self.profile],
+                *OMEGA_PROFILES[self.omega_profile])
+        for f in fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ValidationError(f"{f.name} is not read by profile {self.profile!r} with "
+                                      f"omega_profile {self.omega_profile!r}; remove it")
+        if not 0.0 < self.delta < 1.0:  # off pinch, delta keeps its default 0.1
             raise ValidationError(f"pinch depth must lie in (0, 1), got {self.delta}")
         if self.omega_sigma <= 0.0:
             raise ValidationError("omega_sigma must be positive")
@@ -87,13 +96,11 @@ def build_initial(spec: InitialSpec, grid: Grid) -> tuple[InterfaceCurve, Vortic
     elif spec.profile == "pinch":
         w = _window_or_fail(grid, 0.0, max(spec.window_ramp, grid.spacing * 4))
         z2 = 1.0 - (1.0 - spec.delta) * w
-    elif spec.profile in ("cosine", "monotone"):
+    else:  # cosine or monotone
         w = _window_or_fail(grid, spec.window_flat, spec.window_ramp)
         z2 = 1.0 + spec.amplitude * np.cos(alpha) * w
         if spec.profile == "monotone":
             z1 = alpha + spec.z1_wiggle * np.sin(alpha) * w
-    else:  # pragma: no cover - guarded by InitialSpec
-        raise ValidationError(f"unhandled profile {spec.profile!r}")
 
     if np.any(z2 <= 0.0):
         raise ValidationError(
@@ -107,17 +114,15 @@ def build_initial(spec: InitialSpec, grid: Grid) -> tuple[InterfaceCurve, Vortic
                 f"monotone profile violated: min d(z1)/dalpha = {float(np.min(d1x)):.3e}"
             )
 
-    if spec.omega_profile == "zero" or spec.omega_amplitude == 0.0:
-        omega_arr = np.zeros_like(alpha)
-    else:
-        omega_arr = spec.omega_amplitude * np.exp(
-            -((alpha - spec.omega_center) ** 2) / (2.0 * spec.omega_sigma**2)
+    if spec.omega_profile == "zero":
+        return curve, VorticityStrength(grid, np.zeros_like(alpha))
+    omega_arr = spec.omega_amplitude * np.exp(
+        -((alpha - spec.omega_center) ** 2) / (2.0 * spec.omega_sigma**2)
+    )
+    band = grid.band_mask
+    worst = float(np.max(np.abs(omega_arr[band])))
+    if worst > DECAY_TOL:
+        raise ValidationError(
+            f"omega profile does not decay inside the grid window (band value {worst:.3e})"
         )
-        band = grid.band_mask
-        worst = float(np.max(np.abs(omega_arr[band])))
-        if worst > DECAY_TOL:
-            raise ValidationError(
-                f"omega profile does not decay inside the grid window (band value {worst:.3e})"
-            )
-        omega_arr = np.where(band, 0.0, omega_arr)
-    return curve, VorticityStrength(grid, omega_arr)
+    return curve, VorticityStrength(grid, np.where(band, 0.0, omega_arr))

@@ -217,6 +217,20 @@ class TestRun:
         assert "omega_profile" in record["detail"] and "muskat" in record["detail"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [("stable_relaxation", "omega_amplitude", "5.0"), ("unstable_pinch", "window_flat", "3.0")],
+    )
+    def test_unread_initial_key_exit_code(self, tmp_path, capsys, config, key, value):
+        # a key that neither profile reads would change the hash and nothing else
+        bad = tmp_path / "bad.cfg"
+        text = (CONFIGS / f"{config}.cfg").read_text()
+        bad.write_text(text.replace("[initial]\n", f"[initial]\n{key} = {value}\n"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError" and key in record["detail"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
@@ -424,7 +438,19 @@ class TestAnalyze:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
-        assert "99" in record["detail"]
+        assert "99" in record["detail"] and "3 stored" in record["detail"]
+
+    def test_analyze_decodes_one_record(self, stable_cfg, tmp_path, capsys, monkeypatch):
+        from contourdyn import io as contourdyn_io
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", stable_cfg, "--out", str(out)]) == 0
+        snapshots = str(out / "snapshots.jsonl")
+        assert len(read_snapshots(snapshots)) == 4
+        capsys.readouterr()
+        calls = count_calls(monkeypatch, contourdyn_io, ["curve_from_record"])
+        assert main(["analyze", "--config", stable_cfg, "--in", snapshots, "--index", "-1"]) == 0
+        assert calls["curve_from_record"] == 1
 
     def test_record_without_z2_exit_code(self, stable_cfg, tmp_path, capsys):
         out = tmp_path / "out"

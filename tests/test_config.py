@@ -1,7 +1,7 @@
 """Configuration parsing, validation, and canonical round-trips."""
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +236,25 @@ class TestProfileEdges:
         expected = 1.0 - (1.0 - spec.delta) * plateau_window(grid.alpha, 0.0, spec.window_ramp)
         assert np.array_equal(curve.z2, expected)
         assert np.array_equal(curve.z1, grid.alpha)
+
+    def test_every_initial_key_is_read_by_a_profile(self):
+        from contourdyn.profiles import OMEGA_PROFILES, PROFILES, InitialSpec
+
+        read = {key for keys in (*PROFILES.values(), *OMEGA_PROFILES.values()) for key in keys}
+        assert read | {"profile", "omega_profile"} == {f.name for f in fields(InitialSpec)}
+
+    @pytest.mark.parametrize(
+        "profile, omega_profile, key",
+        [("flat", "zero", "window_ramp"), ("cosine", "zero", "delta"),
+         ("pinch", "zero", "amplitude"), ("cosine", "zero", "omega_sigma"),
+         ("flat", "gaussian", "z1_wiggle")],
+    )
+    def test_unread_key_off_its_default_rejected(self, profile, omega_profile, key):
+        from contourdyn.profiles import InitialSpec
+
+        InitialSpec(profile=profile, omega_profile=omega_profile)  # every key at its default
+        with pytest.raises(ValidationError, match=key):
+            InitialSpec(profile=profile, omega_profile=omega_profile, **{key: 0.5})
 
     def test_gaussian_strength_must_decay(self):
         from contourdyn.profiles import InitialSpec, build_initial

@@ -61,6 +61,13 @@ def trough_state(grid: Grid, params: PhysicalParams, amplitude: float = -0.3) ->
     return SimState(curve, solve_vorticity_equal(curve, params), 0.0)
 
 
+def bare_pinch(delta: float) -> tuple[SimConfig, SimState]:
+    """The shipped pinch config and a SimState of its curve at depth ``delta``, made directly."""
+    parsed = parse_config(str(CONFIGS / "unstable_pinch.cfg"))
+    curve, _ = build_initial(dataclasses.replace(parsed.initial, delta=delta), parsed.sim.grid)
+    return parsed.sim, SimState(curve, solve_vorticity_equal(curve, parsed.sim.params))
+
+
 class TestContourRhs:
     def test_zero_strength(self, grid256):
         curve = bump_curve(grid256, 0.2)
@@ -170,9 +177,32 @@ class TestStep:
             assert gap <= 10.0 * kernels.FIXED_POINT_TOL
 
     def test_equal_viscosity_state_carries_no_field(self):
-        # its closure holds no operator: a field would cost one more fused pass
-        state = initial_state(parse_config(str(CONFIGS / "stable_relaxation.cfg")))
-        assert state.field is None and state.accepted_under is None
+        # its closure holds no operator: a field would cost one more fused pass,
+        # yet the state is made under its config like every other
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        state = initial_state(parsed)
+        assert state.field is None and state.accepted_under == parsed.sim
+
+    @pytest.mark.parametrize("bare, solves", [(False, 4), (True, 5)], ids=["initial_state", "bare"])
+    def test_equal_viscosity_step_solves(self, monkeypatch, bare, solves):
+        # k1 is one fused pass of the state's own strength; a bare state first
+        # gets that strength from closure_state, one more solve
+        parsed = parse_config(str(CONFIGS / "stable_relaxation.cfg"))
+        state = initial_state(parsed)
+        if bare:
+            curve, _ = build_initial(parsed.initial, parsed.sim.grid)
+            state = SimState(curve, solve_vorticity_equal(curve, parsed.sim.params))
+        calls = count_calls(monkeypatch, muskat, ["solve_vorticity_equal"])
+        passes = count_calls(monkeypatch, evolve, ["pv_all_nodes"])
+        step(state, parsed.sim)
+        assert (calls["solve_vorticity_equal"], passes["pv_all_nodes"]) == (solves, 4)
+
+    def test_bare_state_at_the_bottom(self):
+        # a state built past closure_state's checks is checked before its first stage
+        sim, state = bare_pinch(5e-5)
+        with pytest.raises(BottomContact) as err:
+            step(state, sim)
+        assert err.value.t == 0.0 and err.value.min_depth <= sim.contact_tol
 
     @pytest.mark.parametrize(
         "config, physics, other",
@@ -343,6 +373,15 @@ class TestRun:
         assert "node_count=128" in str(err.value) and "node_count=256" in str(err.value)
         assert sink.diagnostics == [] and sink.snapshots == []
 
+    def test_bare_initial_state_at_the_bottom(self):
+        # the initial state passes the checks every accepted state passes: no row at m < tol
+        sim, state = bare_pinch(5e-5)
+        sink = MemorySink()
+        with pytest.raises(BottomContact) as err:
+            run(sim, state, [sink])
+        assert err.value.t == 0.0
+        assert sink.diagnostics == [] and sink.snapshots == []
+
     def test_zero_length_run(self, grid256):
         params = stable_params()
         cfg = SimConfig(params=params, grid=grid256, dt=0.01, t_end=0.0, snapshot_every=0)
@@ -463,3 +502,20 @@ class TestSource:
         }
         assert readers == {"capped_dt", "_evaluate", "step"}  # capped_dt: SimConfig's
         assert "len(y" not in text
+
+    def test_one_door_into_a_step(self):
+        # only the entry helper asks which config made a state, and step
+        # evaluates no stage at the state's own samples: k1 is the state's
+        tree = ast.parse(Path(evolve.__file__).read_text(encoding="utf-8"))
+        functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+        readers = {
+            name for name, f in functions.items() if any(
+                isinstance(n, ast.Attribute) and n.attr == "accepted_under" for n in ast.walk(f)
+            )
+        }
+        assert readers == {"_entered"}
+        at_y0 = [
+            ast.unparse(n) for n in ast.walk(functions["step"]) if isinstance(n, ast.Call)
+            and any(isinstance(a, ast.Name) and a.id == "y0" for a in n.args)
+        ]
+        assert at_y0 == []
