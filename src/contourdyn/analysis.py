@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailure, OutOfRegime
-from .geometry import DECAY_TOL, FloatArray, InterfaceCurve, PhysicalParams
+from .geometry import FloatArray, InterfaceCurve, PhysicalParams
 from .kernels import VorticityStrength, _require_shared_grid, diagonal_limit, sheet_row
 
 TWO_PI = 2.0 * np.pi
@@ -66,7 +66,6 @@ class DepthDiagnostics:
     chord_arc: float
     c2_norm: float
     omega_c1_norm: float
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -158,21 +157,6 @@ def depth_rate(
     c0, c1, c2 = curve.holder_norms
     om_c0 = float(np.max(np.abs(omega.omega)))
     om_c1 = max(om_c0, float(np.max(np.abs(omega.d1))))
-    chord = curve.chord_arc
-
-    band = grid.band_mask
-    om_edge = max(float(np.max(np.abs(omega.omega[band]))), DECAY_TOL)
-    z1_c1 = float(np.max(np.abs(d1x)))
-    z2_max = float(np.max(curve.z2))
-    tail = (
-        2.0
-        * m
-        * z2_max
-        * z1_c1
-        * om_edge
-        * chord**4
-        * (1.0 / max(d_minus, floor) ** 2 + 1.0 / max(d_plus, floor) ** 2)
-    )
 
     return DepthDiagnostics(
         t=float(t),
@@ -183,10 +167,9 @@ def depth_rate(
         J_m=j_near,
         J_1=j_mid,
         J_inf=j_far,
-        chord_arc=chord,
+        chord_arc=curve.chord_arc,
         c2_norm=max(c0, c1, c2),
         omega_c1_norm=om_c1,
-        tail_bound=tail,
     )
 
 

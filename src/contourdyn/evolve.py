@@ -4,18 +4,20 @@ The semi-discrete system advanced here is the masked vector field
 
     dy/dt = M(alpha) * F(y),
 
-where F collects the principal-value velocity (plus the vorticity rate for
-water waves) and M is the smooth far-field cutoff from the geometry module.
+where F collects the principal-value velocity (plus, for water waves, the
+rate of chi = omega - 2A M V.T, the surface-potential form of the strength)
+and M is the smooth far-field cutoff from the geometry module.
 The mask pins the decay bands to the exact flat state, which is the truncated
 domain's far-field closure; the suppressed motion is the O(1/distance^2) tail
 the truncation drops anyway.  Classical RK4 does the stepping; for Muskat the
 sheet strength is re-solved from the curve at every stage, for water waves the
-pair (z, omega) advances jointly.  _evaluate is the one closure dispatch:
-muskat.solve_vorticity or waterwaves.omega_rhs, iterated from a nearby
-solution x, gives x (the Muskat omega or the wave rate) and the velocity from
-the operator the closure held.  closure_state is the one definition of a run
-state and the only way into step and run: it checks the curve against the
-continuation hypotheses, then gives it its x and masked field, its own k1; an
+pair (z, chi) advances jointly and the strength is re-solved from it.
+_evaluate is the one closure dispatch: muskat.solve_vorticity or
+waterwaves.omega_rhs, iterated from a nearby omega, gives omega (and the wave
+chi) and the velocity from the operator the closure held.  closure_state is
+the one definition of a run state and the only way into step and run: it
+checks the curve against the continuation hypotheses, then gives it its omega
+(a wave state entering from omega its chi) and masked field, its own k1; an
 equal-viscosity closure holds no operator, so its k1 is one fused pass.
 
 Bottom contact is detected and reported, never clamped: a curve at the contact
@@ -90,8 +92,8 @@ class SimState:
     curve: InterfaceCurve
     omega: VorticityStrength
     t: float = 0.0
-    # closure_state's x and masked field (None: the explicit closure's), under accepted_under
-    x: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
+    # closure_state's wave chi and masked field (None: explicit closure's), under accepted_under
+    chi: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     field: FloatArray | None = dataclasses.field(default=None, compare=False, repr=False)
     accepted_under: SimConfig | None = dataclasses.field(default=None, compare=False, repr=False)
 
@@ -114,33 +116,37 @@ class RunSummary:
     message: str = ""
 
 
-def _evaluate(curve: InterfaceCurve, config: SimConfig, omega: VorticityStrength | None, guess):
-    """(strength, x, masked field) of ``curve`` under ``config``'s closure, iterated from ``guess``.
+def _evaluate(curve: InterfaceCurve, config: SimConfig, omega, chi, guess):
+    """(strength, chi, masked field) of ``curve`` under ``config``'s closure, from ``guess``.
 
-    A wave curve keeps ``omega`` and x is its rate; a Muskat curve's strength
-    is the closure's and x its omega.  The velocity is one apply of the held
-    operator, or the wave rate's fused pass at A = 0; with no operator an
-    equal-viscosity field would cost one more pass: None.
+    A wave curve's strength solves from its ``chi``, or where chi is None gives
+    it from ``omega``; a Muskat curve's strength is the closure's, with no chi.
+    The velocity is one apply of the held operator, or the wave closure's fused
+    pass at A = 0; with no operator an equal-viscosity field would cost one
+    more pass: None.
     """
     mask = curve.grid.far_field_mask
     if config.model is Model.WATER_WAVES:
-        rate, (u, v) = waterwaves.omega_rhs(curve, omega, config.params, guess=guess)
-        return omega, rate, mask * np.stack((u, v, rate))
+        omega, chi, rate, (u, v) = waterwaves.omega_rhs(curve, config.params, chi, omega,
+                                                        guess=guess)
+        return omega, chi, mask * np.stack((u, v, rate))
     omega, operator = muskat.solve_vorticity(curve, config.params, guess)
     field = None if operator is None else mask * np.stack(pv_all_nodes(curve, omega, operator))
-    return omega, omega.omega, field
+    return omega, None, field
 
 
 def closure_state(
     curve: InterfaceCurve, t: float, config: SimConfig,
     omega: VorticityStrength | None, guess: FloatArray | None = None,
+    chi: FloatArray | None = None,
 ) -> SimState:
     """The run state of ``curve`` at ``t`` under ``config``: checked, then evaluated from ``guess``.
 
     Initial, accepted or entered, every state passes: the config's grid, min depth
     above contact_tol, C2 norm and chord-arc constant under their caps, flatness, the closure.
     The checks read what the curve caches for its diagnostics row.  A wave state
-    keeps ``omega``, a Muskat state takes the closure's; an equal-viscosity state
+    takes its strength from ``chi``, or else its chi from ``omega``; a Muskat
+    state takes the closure's strength.  An equal-viscosity state
     carries no field (one more fused pass, 45-60 ms at N = 2048, in every set-up).
     """
     if curve.grid != config.grid:
@@ -154,14 +160,15 @@ def closure_state(
     if curve.chord_arc > CHORD_ARC_CAP:
         raise StabilityFailure(t, "chord-arc constant", curve.chord_arc)
     curve.check_invariants()
-    omega, x, field = _evaluate(curve, config, omega, guess)
-    return SimState(curve, omega, t, x, field, config)
+    omega, chi, field = _evaluate(curve, config, omega, chi, guess)
+    return SimState(curve, omega, t, chi, field, config)
 
 
 def _entered(state: SimState, config: SimConfig) -> SimState:
-    """``state`` if closure_state made it under ``config``, else closure_state's, from its x."""
-    made = state.accepted_under == config
-    return state if made else closure_state(state.curve, state.t, config, state.omega, state.x)
+    """``state`` if closure_state made it under ``config``, else closure_state's, from its omega."""
+    if state.accepted_under == config:
+        return state
+    return closure_state(state.curve, state.t, config, state.omega, state.omega.omega)
 
 
 def _velocity(curve: InterfaceCurve, omega: VorticityStrength, field: FloatArray | None):
@@ -176,32 +183,33 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
 
     ``dt``, finite and positive, defaults to config.capped_dt(), the step run takes.
     A state not made under ``config`` enters through closure_state; x1 and k1 are
-    its own x and velocity.  Stage i iterates from x(i-1), stage 4 from 2 x3 - x1
-    (linear in stage time), and the new state, which a failed check rejects, from x4.
+    its own omega and velocity.  Stage i's closure iterates from omega x(i-1),
+    stage 4's from 2 x3 - x1 (linear in stage time), and the new state's, which
+    a failed check rejects, from x4.
     """
     dt = config.capped_dt() if dt is None else float(dt)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     state = _entered(state, config)
-    waves = config.model is Model.WATER_WAVES  # the state vector's rows: (z1, z2[, omega])
-    y0 = np.stack((state.curve.z1, state.curve.z2, state.omega.omega)[: 3 if waves else 2])
+    waves = config.model is Model.WATER_WAVES  # the state vector's rows: (z1, z2[, chi])
+    y0 = np.stack((state.curve.z1, state.curve.z2, state.chi)[: 3 if waves else 2])
 
-    def stage(y: FloatArray, guess: FloatArray | None):
+    def stage(y: FloatArray, guess: FloatArray):
         curve = InterfaceCurve(config.grid, y[0], y[1], validate=False)
-        omega = VorticityStrength(config.grid, y[2], validate=False) if waves else None
-        omega, x, field = _evaluate(curve, config, omega, guess)
-        return x, _velocity(curve, omega, field)
+        omega, _, field = _evaluate(curve, config, None, y[2] if waves else None, guess)
+        return omega.omega, _velocity(curve, omega, field)
 
-    x1, k1 = state.x, _velocity(state.curve, state.omega, state.field)
+    x1, k1 = state.omega.omega, _velocity(state.curve, state.omega, state.field)
     x2, k2 = stage(y0 + 0.5 * dt * k1, x1)
     x3, k3 = stage(y0 + 0.5 * dt * k2, x2)
     x4, k4 = stage(y0 + dt * k3, 2.0 * x3 - x1)
     y1, t = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), state.t + dt
     if not np.all(np.isfinite(y1)):
         raise StabilityFailure(t, "state", float("nan"))
-    curve = InterfaceCurve(config.grid, y1[0], y1[1], validate=False)
-    omega = VorticityStrength(config.grid, y1[2]) if waves else None
-    return closure_state(curve, t, config, omega, x4)
+    # a row apiece: a snapshot of the new state pins no chi
+    rows = [row.copy() for row in y1]
+    curve = InterfaceCurve(config.grid, rows[0], rows[1], validate=False)
+    return closure_state(curve, t, config, None, x4, rows[2] if waves else None)
 
 
 def run(config: SimConfig, initial: SimState, sinks: Iterable[DiagnosticsSink] = ()) -> RunSummary:

@@ -34,14 +34,13 @@ t - zbar, and reduces each block at once against the density omega w z2 / pi;
 its memory is O(block N).  A block has max(OPERATOR_BLOCK, BLOCK_PAIRS // N)
 rows, which depends on N alone, so a split pass and a one-thread pass walk the
 same blocks.  A closure that applies one curve's operator more than once (the
-Picard solve, the wave rate) holds its node_operator, the bare rows R, and
-passes it to pv_all_nodes, whose sums are then one apply of it to the density,
-its scale formed once per curve.  Both closures iterate in solve_tangential on
-V . dz/dalpha, where the limit's f' term drops (it is imaginary once
-multiplied by z'): tangential_velocity is one apply plus O(N) work.
-tangential_velocity_rate, the wave rate's shape derivative, reads the same rows
-and their squares, and forms the punctured sums with the apply pv_all_nodes
-makes.  pair_passes counts both kinds of pass, process-wide.
+Muskat Picard solve, the wave closure) holds its node_operator, the bare rows
+R, and passes it to pv_all_nodes, whose sums are then one apply of it to the
+density, its scale formed once per curve.  Both closures iterate in
+solve_tangential on V . dz/dalpha, where the limit's f' term drops (it is
+imaginary once multiplied by z'): tangential_velocity is one apply plus O(N)
+work.  So a pair pass and an apply are the only O(N^2) walks; no closure reads
+the operator's rows.  pair_passes counts both kinds of pass, process-wide.
 
 From SPLIT_NODES nodes on, the calling thread runs the lower half of the
 target columns, cut at a multiple of the block height, and one persistent
@@ -263,48 +262,14 @@ def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.n
     return (far * curve.dz).real + curve.tangential_limit * omega
 
 
-def tangential_velocity_rate(
-    curve: InterfaceCurve, omega: FloatArray, velocity, operator: np.ndarray
-) -> FloatArray:
-    """d/dt of tangential_velocity as the nodes move with velocity (u, v), omega fixed.
-
-    With a = omega sheet_scale and zdot = u + iv, the punctured sums a R are
-    one apply of the held rows R, the one pv_all_nodes makes for the velocity.
-    a moves by omega w v / pi (one more apply) and each off-diagonal R_kj by -2 R_kj^2
-    [zdot_j (z_j - x_k) - z_j u_k + x_k u_k + y_k v_k]: (a, a x, a u, a (u x + v y))
-    against R o R, squared a block of rows at a time into one reused buffer.
-    The punctured mirror value a_j / (4 y_j^2) moves by -a_j v_j / (4 y_j^3),
-    tangential_limit by w Im((zdot'' z' - z'' zdot') / z'^2) / (4 pi).
-    """
-    u, v = velocity
-    x, y, z, w = curve.z1, curve.z2, curve.z, curve.grid.trapezoid_weights
-    a = omega * curve.sheet_scale
-    far, moved = _apply(operator, a), _apply(operator, omega * w * v / np.pi)
-    weights = np.stack((a, a * x, a * u, a * (u * x + v * y)))
-    height, blocks = _blocks(curve.grid.node_count)
-    squares = np.empty((height, curve.grid.node_count), dtype=np.complex128)
-    sums = 0.0
-    for block in blocks:
-        held = operator[block]
-        rows = np.multiply(held, held, out=squares[: len(held)])
-        rows[np.arange(len(rows)), np.arange(block.start, block.stop)] = 0.0
-        sums = sums + _apply(rows, weights[:, block])
-    zdot = u + 1j * v
-    # moved holds the diagonal's a v / (4 y^3); the mirror value moves by minus that
-    moved -= 2.0 * (zdot * (z * sums[0] - sums[1]) - z * sums[2] + sums[3]) + a * v / (2.0 * y**3)
-    dz, (d2x, d2y), h = curve.dz, curve.d2, curve.grid.spacing
-    dzdot, d2zdot = fd_derivative(zdot, h, 1), fd_derivative(zdot, h, 2)
-    turning = ((d2zdot * dz - (d2x + 1j * d2y) * dzdot) / (dz * dz)).imag
-    return (moved * dz + far * dzdot).real + w * turning * omega / (4.0 * np.pi)
-
-
 def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, what, guess=None):
     """x = weight (rhs + gain V(x) . dz/dalpha) by fixed-point iteration from ``guess``.
 
-    ``guess`` defaults to weight * rhs.  One tangential_velocity apply of the
-    held operator and O(N) work per iteration, until successive iterates agree
-    to tol in the sup norm.  Returns x and the iteration count; NoConvergence,
-    naming the solve ``what``, after MAX_FIXED_POINT_ITER iterations.
+    ``gain`` and ``weight`` are scalars or nodewise arrays; ``guess`` defaults
+    to weight * rhs.  One tangential_velocity apply of the held operator and
+    O(N) work per iteration, until successive iterates agree to tol in the sup
+    norm.  Returns x and the iteration count; NoConvergence, naming the solve
+    ``what``, after MAX_FIXED_POINT_ITER iterations.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tolerance must be finite and positive, got {tol}")

@@ -1,27 +1,26 @@
-"""Vorticity evolution for two-phase irrotational flow under gravity.
+"""Sheet-strength evolution for two-phase irrotational flow under gravity.
 
-With A the density contrast (Atwood number), V the mean sheet velocity and
-T = dz/dalpha, the sheet strength evolves as
+With A the density contrast (Atwood number), V the mean sheet velocity,
+T = dz/dalpha and M the far-field mask, a wave state carries
 
-    d(omega)/dt = -d/dalpha [ A |V|^2 - (A/4) omega^2 / |T|^2
+    chi = omega - 2 A M V . T,
+
+the surface-potential form of the strength (Zakharov 1968; the vortex-sheet
+form of Baker, Meiron and Orszag, JFM 123, 1982), whose rate is explicit:
+
+    d(chi)/dt = -M d/dalpha [ A |V|^2 - (A/4) omega^2 / |T|^2
                               - 2 gamma kappa / (rho_+ + rho_-)
-                              - 2 A g z2 ]
-                  + 2 A d/dt [ V . T ].
+                              - 2 A g z2 ].
 
-The last term holds the rate being solved for.  V . T is linear in omega
-through the curve's operator T.K, so along the unmasked velocity zdot = u + iv
-it is d/dt [ V . T ] = (T.K) omega_t + d_zdot(V . T)[omega], the last term
-moving the nodes at fixed omega.  Each evaluation solves
-
-    (I - 2A T.K) omega_t = explicit + 2A d_zdot(V . T)[omega]
-
-on the curve's operator, which omega_rhs builds unless A = 0 and which also
-gives the velocity (kernels.pv_all_nodes): the shape derivative in closed form
-from the operator's rows (kernels.tangential_velocity_rate), then the
-fixed-point loop of kernels.solve_tangential, one apply per iteration, from the
-previous RK stage's rate; the vortex-sheet form of Baker, Meiron and Orszag
-(JFM 123, 1982).  The rate depends on no step size, so RK4 stays fourth order
-in time.
+M is constant in time, so this is the masked omega equation in other
+variables; evolve applies the mask.  omega_rhs is the closure.  omega solves
+omega = chi + 2A M V(omega) . T, the masked second-kind equation that the
+Muskat closure solves with other coefficients, on the curve's operator in the
+fixed-point loop of kernels.solve_tangential, from a nearby state's omega.
+The velocity is one more apply of that operator (kernels.pv_all_nodes), and
+the rate the derivative of the bracket.  A state that enters from its omega
+gets its chi on the same operator.  At A = 0, chi is omega and no operator is
+built.  The rate depends on no step size, so RK4 stays fourth order in time.
 """
 
 from __future__ import annotations
@@ -40,10 +39,11 @@ from .geometry import (
 from .kernels import (
     FIXED_POINT_TOL,
     VorticityStrength,
+    _require_shared_grid,
     node_operator,
     pv_all_nodes,
     solve_tangential,
-    tangential_velocity_rate,
+    tangential_velocity,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ def _require_waves(params: PhysicalParams) -> None:
 def bracket_term(
     curve: InterfaceCurve, omega: VorticityStrength, velocity, params: PhysicalParams
 ) -> FloatArray:
-    """The quantity differentiated in the transport part of the omega equation.
+    """The quantity differentiated in the transport part of the chi equation.
 
     ``velocity`` is the principal-value velocity (u, v) of omega on the curve.
     """
@@ -76,28 +76,34 @@ def bracket_term(
 
 
 def omega_rhs(
-    curve: InterfaceCurve, omega: VorticityStrength, params: PhysicalParams,
-    tol: float = FIXED_POINT_TOL, guess=None,
-) -> tuple[FloatArray, tuple[FloatArray, FloatArray]]:
-    """(rate, velocity): the sheet strength's time derivative and the pv velocity (u, v).
+    curve: InterfaceCurve, params: PhysicalParams, chi: FloatArray | None = None,
+    omega: VorticityStrength | None = None, tol: float = FIXED_POINT_TOL, guess=None,
+) -> tuple[VorticityStrength, FloatArray, FloatArray, tuple[FloatArray, FloatArray]]:
+    """(omega, chi, rate, velocity): the wave closure of ``curve``, from ``chi`` or else ``omega``.
 
-    Unless A = 0 the curve's operator is built first, the velocity is one apply
-    of it, and the implicit term is resolved on it, iterating from ``guess``
-    (a nearby state's rate) or its right side.  At A = 0 the rate is explicit
-    and the velocity one fused pass.
+    Unless A = 0 the curve's operator is built first.  Given chi, omega solves
+    omega = chi + 2A M V(omega) . T on it, iterating from ``guess`` (a nearby
+    state's omega) or chi; otherwise chi = omega - 2A M V(omega) . T.  The
+    velocity (u, v) is one apply of the operator, or at A = 0, where chi is
+    omega, one fused pass.  The rate of chi is returned unmasked.
     """
     _require_waves(params)
-    a = params.atwood
-    operator = None if a == 0.0 else node_operator(curve)
+    gain = 2.0 * params.atwood * curve.grid.far_field_mask
+    operator = None if params.atwood == 0.0 else node_operator(curve)
+    if omega is None:
+        strength = chi
+        if operator is not None:
+            strength, iterations = solve_tangential(
+                curve, operator, chi, gain, tol=tol, what="wave closure iteration", guess=guess,
+            )
+            logger.debug("wave closure converged in %d iterations", iterations)
+        # on the bands omega is chi, which the mask holds at its entering values
+        omega = VorticityStrength(curve.grid, strength, validate=False)
+    else:
+        _require_shared_grid(curve, omega)
+        chi = omega.omega
+        if operator is not None:
+            chi = chi - gain * tangential_velocity(curve, omega.omega, operator)
     velocity = pv_all_nodes(curve, omega, operator)
     bracket = bracket_term(curve, omega, velocity, params)
-    explicit = -fd_derivative(bracket, curve.grid.spacing, 1, edge_value=0.0)
-    if operator is None:
-        return explicit, velocity
-    moving = tangential_velocity_rate(curve, omega.omega, velocity, operator)
-    rate, iterations = solve_tangential(
-        curve, operator, explicit + 2.0 * a * moving, 2.0 * a,
-        tol=tol, what="implicit omega-rate iteration", guess=guess,
-    )
-    logger.debug("implicit omega rate converged in %d iterations", iterations)
-    return rate, velocity
+    return omega, chi, -fd_derivative(bracket, curve.grid.spacing, 1, edge_value=0.0), velocity

@@ -19,7 +19,6 @@ from contourdyn.geometry import (
     InterfaceCurve,
     PhysicalParams,
     far_field_mask,
-    fd_derivative,
     min_depth,
 )
 from contourdyn.kernels import (
@@ -30,10 +29,8 @@ from contourdyn.kernels import (
     pv_all_nodes,
     sheet_row,
     tangential_velocity,
-    tangential_velocity_rate,
 )
 from contourdyn.muskat import vorticity_rhs
-from contourdyn.waterwaves import bracket_term
 from contourdyn.profiles import plateau_window
 
 
@@ -316,13 +313,11 @@ def full_velocity_map(curve: InterfaceCurve, params: PhysicalParams, om: np.ndar
     return mask * (rhs + params.viscosity_jump * (u * d1x + v * d1y)) / params.viscosity_mean
 
 
-def resubstitution_gap(curve, omega, params, rate, velocity) -> float:
-    """max |explicit + 2A (d_zdot(V . T)[omega] + T.K rate) - rate|: 0 for the exact rate."""
-    op = node_operator(curve)
-    explicit = -fd_derivative(bracket_term(curve, omega, velocity, params), curve.grid.spacing, 1)
-    moving = tangential_velocity_rate(curve, omega.omega, velocity, op)
-    resub = explicit + 2.0 * params.atwood * (moving + tangential_velocity(curve, rate, op))
-    return float(np.max(np.abs(resub - rate)))
+def resubstitution_gap(curve, omega, chi, params) -> float:
+    """max |omega - 2A M V(omega) . T - chi|: 0 for the wave closure's exact omega of chi."""
+    v_dot_t = tangential_velocity(curve, omega.omega, node_operator(curve))
+    gain = 2.0 * params.atwood * far_field_mask(curve.grid)
+    return float(np.max(np.abs(omega.omega - gain * v_dot_t - chi)))
 
 
 def traced_peak(fn, *args) -> int:

@@ -310,7 +310,7 @@ def test_criterion_9_equilibria_and_order():
 
 
 def test_criterion_9_wave_order():
-    # the implicit omega rate carries no step-size bias, so RK4 stays fourth order
+    # the rate of chi carries no step-size bias, so RK4 stays fourth order
     parsed = with_grid(parse_config(str(CONFIGS / "internal_wave.cfg")), 128)
     s0 = initial_state(parsed)
 

@@ -129,13 +129,6 @@ class TestDepthRate:
         assert abs(d_on.J) > 1e-3  # asymmetric strength: J is genuinely nonzero
         assert abs(d_off.J - d_on.J) <= 1e-6 * (1.0 + abs(d_on.J))
 
-    def test_tail_bound_scales_with_depth(self, grid256):
-        omega = gaussian_strength(grid256)
-        shallow = depth_rate(pinch_curve(grid256, 0.4), omega)
-        deep = depth_rate(pinch_curve(grid256, 0.1), omega)
-        assert deep.tail_bound < shallow.tail_bound
-        assert shallow.tail_bound >= 0.0
-
 
 class TestBoundRatio:
     def test_out_of_regime(self, grid256):

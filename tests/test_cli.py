@@ -316,7 +316,7 @@ class TestLibraryParity:
         sink = MemorySink()
         run_simulation(parsed.sim, initial_state(parsed), [sink])
         assert len(sink.diagnostics) == csv["t"].size
-        for name in ("t", "m", "dmdt", "J", "chord_arc", "tail_bound"):
+        for name in ("t", "m", "dmdt", "J", "chord_arc"):
             mem = np.array([getattr(d, name) for d in sink.diagnostics])
             assert np.array_equal(mem, csv[name])
 

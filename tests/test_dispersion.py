@@ -5,8 +5,8 @@ lower layer of depth 1 under a rigid bottom and an infinitely deep upper
 layer.  These end-to-end checks exercise the kernel, its mirror term, the
 boundary limits, both closures and the time integrator at once; the
 confinement factors (1 - exp(-2k)) and coth(k) are specifically sensitive to
-the mirror term and, for the wave model, to the implicit velocity-rate term
-(dropping the latter would shift sigma^2 by several percent here).
+the mirror term and, for the wave model, to the closure's 2A M V . T term
+(dropping it would shift sigma^2 by several percent here).
 """
 
 import numpy as np
@@ -50,11 +50,13 @@ def test_darcy_decay_rate(k):
     assert measured == pytest.approx(theory, rel=2e-2)
 
 
-def test_internal_wave_frequency():
-    # sigma^2 = g k (rho_- - rho_+) / (rho_- coth(k) + rho_+), depth 1
-    k = 1.0
+@pytest.mark.parametrize("k", [1.0, 2.0])
+@pytest.mark.parametrize("rho_plus", [1.0, 0.0], ids=["internal", "free-surface"])
+def test_internal_wave_frequency(rho_plus, k):
+    # sigma^2 = g k (rho_- - rho_+) / (rho_- coth(k) + rho_+), depth 1; at
+    # rho_+ = 0, the free surface, g k tanh(k)
     grid = Grid(20.0, 256)
-    params = PhysicalParams(model=Model.WATER_WAVES, rho_plus=1.0, rho_minus=2.0, g=1.0)
+    params = PhysicalParams(model=Model.WATER_WAVES, rho_plus=rho_plus, rho_minus=2.0, g=1.0)
     curve = seeded_curve(grid, k)
     state = SimState(curve, VorticityStrength(grid, np.zeros(grid.node_count)), 0.0)
     cfg = SimConfig(params=params, grid=grid, dt=0.02, t_end=1.0, snapshot_every=0)

@@ -1,5 +1,6 @@
 """Singular-integral core: mirror kernel, principal values, the off-curve oracle."""
 
+import ast
 import dataclasses
 import os
 import signal
@@ -263,7 +264,7 @@ class TestOneOperator:
             pytest.param("stable_relaxation.cfg", {}, 128, 4, 0, id="equal"),
             pytest.param("stable_relaxation.cfg", CONTRAST, 128, 0, 4, id="contrast"),
             pytest.param("internal_wave.cfg", {}, 128, 0, 4, id="waves"),
-            # equal densities (A = 0): no implicit term, so no operator is held
+            # equal densities (A = 0): chi is omega, so no operator is held
             pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 128, 4, 0, id="waves-equal"),
             # from SPLIT_NODES on each pass runs as two halves, still one pass
             pytest.param("stable_relaxation.cfg", {}, 1024, 4, 0, id="equal-split"),
@@ -273,7 +274,7 @@ class TestOneOperator:
     def test_assemblies_per_step(self, config, physics, n, fused, assembled):
         # one pair pass per distinct curve: a fused pass for each RK stage's
         # one-shot velocity; an operator for each repeatedly applied curve,
-        # the Picard solve or the implicit rate and velocity (waves, A != 0)
+        # the Picard solve or the wave closure's omega and velocity (A != 0)
         # of stages 2-4 and the accepted curve (the initial state holds its k1)
         parsed = with_grid(parse_config(str(CONFIGS / config)), n)
         if physics:
@@ -284,6 +285,26 @@ class TestOneOperator:
         state = initial_state(parsed)
         before = dict(kernels.pair_passes)
         step(state, parsed.sim)
+        counts = {k: kernels.pair_passes[k] - before[k] for k in before}
+        assert counts == {"fused": fused, "assembly": assembled}
+
+    @pytest.mark.parametrize(
+        "config, physics, fused, assembled",
+        [
+            pytest.param("stable_relaxation.cfg", {}, 0, 0, id="equal"),
+            pytest.param("stable_relaxation.cfg", CONTRAST, 0, 1, id="contrast"),
+            pytest.param("internal_wave.cfg", {}, 0, 1, id="waves"),
+            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 1, 0, id="waves-equal"),
+        ],
+    )
+    def test_passes_per_initial_state(self, config, physics, fused, assembled):
+        # set-up evaluates the initial curve once: a wave state's chi, omega's
+        # velocity and chi's rate share one operator
+        parsed = with_grid(parse_config(str(CONFIGS / config)), 128)
+        params = dataclasses.replace(parsed.sim.params, **physics)
+        parsed = dataclasses.replace(parsed, sim=dataclasses.replace(parsed.sim, params=params))
+        before = dict(kernels.pair_passes)
+        initial_state(parsed)
         counts = {k: kernels.pair_passes[k] - before[k] for k in before}
         assert counts == {"fused": fused, "assembly": assembled}
 
@@ -353,9 +374,6 @@ class TestOneOperator:
             pv_all_nodes(curve, omega)
             pv_all_nodes(curve, omega, kernels.node_operator(curve))
             kernels.tangential_velocity(curve, omega.omega, kernels.node_operator(curve))
-            op = kernels.node_operator(curve)
-            velocity = pv_all_nodes(curve, omega, op)
-            kernels.tangential_velocity_rate(curve, omega.omega, velocity, op)
             identity_defect(curve)
 
     @pytest.mark.skipif(
@@ -490,3 +508,20 @@ class TestSplitPass:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestSource:
+    def test_pair_pass_is_the_only_block_walk(self):
+        # a pair pass and an apply of the held operator are the only O(N^2)
+        # walks: no closure reads the operator's rows a block at a time
+        package = Path(kernels.__file__).parent
+        callers = set()
+        for path in package.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for f in ast.walk(tree):
+                if isinstance(f, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_blocks"
+                    for n in ast.walk(f)
+                ):
+                    callers.add(f"{path.stem}.{f.name}")
+        assert callers == {"kernels._pair_pass"}

@@ -10,14 +10,8 @@ from contourdyn import kernels
 from contourdyn.cli import initial_state
 from contourdyn.config import parse_config
 from contourdyn.errors import ValidationError
-from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams
-from contourdyn.kernels import (
-    VorticityStrength,
-    node_operator,
-    pv_all_nodes,
-    tangential_velocity,
-    tangential_velocity_rate,
-)
+from contourdyn.geometry import Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask
+from contourdyn.kernels import VorticityStrength, node_operator, pv_all_nodes, tangential_velocity
 from contourdyn.evolve import run
 from contourdyn.waterwaves import bracket_term, omega_rhs
 
@@ -78,128 +72,123 @@ class TestBracket:
 
 class TestOmegaRhs:
     def test_flat_equilibrium(self, grid256):
-        rate, _ = omega_rhs(*flat_state(grid256), wave_params())
-        assert np.all(rate == 0.0)
+        curve, omega = flat_state(grid256)
+        _, chi, rate, _ = omega_rhs(curve, wave_params(), omega=omega)
+        assert np.all(chi == 0.0) and np.all(rate == 0.0)
 
     def test_gravity_dominated_rate(self, grid256):
-        # omega = 0, amplitude a: rate = 2 A g d(z2)/dalpha + O(a^2)
+        # omega = 0, amplitude a: chi's rate is 2 A g d(z2)/dalpha, as every
+        # other term vanishes with omega
         params = wave_params()
         curve = bump_curve(grid256, 0.1)
-        rate, _ = omega_rhs(curve, VorticityStrength(grid256, np.zeros(grid256.node_count)), params)
+        rest = VorticityStrength(grid256, np.zeros(grid256.node_count))
+        _, _, rate, _ = omega_rhs(curve, params, omega=rest)
         inner = np.abs(grid256.alpha) <= 4.0
         expect = -0.1 * np.sin(grid256.alpha)
         assert np.max(np.abs(rate[inner] - expect[inner])) <= 2e-2
 
     def test_zero_atwood(self, grid256):
+        # A = 0, gamma = 0: the bracket vanishes identically, and chi is omega
         params = wave_params(rho_plus=1.0, rho_minus=1.0, g=2.0)
-        rate, _ = omega_rhs(*wave_state(grid256, 0.2, 0.3), params)
-        # A = 0, gamma = 0, c = 0: the bracket vanishes identically
+        curve, omega = wave_state(grid256, 0.2, 0.3)
+        _, chi, rate, _ = omega_rhs(curve, params, omega=omega)
         assert np.allclose(rate, 0.0, atol=1e-12)
+        assert np.array_equal(chi, omega.omega)
+        solved, _, _, _ = omega_rhs(curve, params, chi)
+        assert np.array_equal(solved.omega, omega.omega)
 
     def test_rate_decays_far_out(self, grid256):
-        # the transport part is identically zero on the bands; the implicit
-        # term leaves only the O(1/distance^2) far-field residue there, which
-        # the integrator's mask suppresses
+        # only the sheet's far velocity reaches the bands, where the
+        # integrator's mask suppresses it
         params = wave_params()
-        rate, _ = omega_rhs(*wave_state(grid256, 0.1, 0.2), params)
+        curve, omega = wave_state(grid256, 0.1, 0.2)
+        _, _, rate, _ = omega_rhs(curve, params, omega=omega)
         band = grid256.band_mask
         assert np.max(np.abs(rate[band])) <= 1e-2 * np.max(np.abs(rate))
 
-    def test_velocity_is_an_apply_of_the_operator(self, grid256):
-        # A != 0: one assembly, and the velocity is that operator's apply, bit
-        # for bit; A = 0: no operator, and the velocity is one fused pass
+    @pytest.mark.parametrize("given", ["omega", "chi"])
+    def test_velocity_is_an_apply_of_the_operator(self, grid256, given):
+        # A != 0: one assembly, whether omega is given or solved from chi, and
+        # the velocity is that operator's apply, bit for bit; A = 0: no
+        # operator, and the velocity is one fused pass
         curve, omega = wave_state(grid256)
         for params, fused, assembled, expect in (
-            (wave_params(), 0, 1, lambda: pv_all_nodes(curve, omega, node_operator(curve))),
-            (wave_params(rho_plus=1.0, rho_minus=1.0), 1, 0, lambda: pv_all_nodes(curve, omega)),
+            (wave_params(), 0, 1, lambda om: pv_all_nodes(curve, om, node_operator(curve))),
+            (wave_params(rho_plus=1.0, rho_minus=1.0), 1, 0, lambda om: pv_all_nodes(curve, om)),
         ):
+            chi = omega_rhs(curve, params, omega=omega)[1] if given == "chi" else None
             before = dict(kernels.pair_passes)
-            _, (u, v) = omega_rhs(curve, omega, params)
+            solved, _, _, (u, v) = omega_rhs(curve, params, chi, omega if chi is None else None)
             counts = {k: kernels.pair_passes[k] - before[k] for k in before}
             assert counts == {"fused": fused, "assembly": assembled}
-            ref_u, ref_v = expect()
+            ref_u, ref_v = expect(solved)
             assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
 
-    def test_rate_resubstitutes(self, grid256):
-        # the converged rate solves (I - 2A T.K) rate = explicit + 2A d_zdot(V . T)
+    def test_chi_from_omega(self, grid256):
+        # a state entering from omega: chi = omega - 2A M V(omega) . T, on the one operator
         params = wave_params()
         curve, omega = wave_state(grid256)
-        rate, velocity = omega_rhs(curve, omega, params, tol=1e-12)
-        assert resubstitution_gap(curve, omega, params, rate, velocity) <= 1e-10
+        same, chi, _, _ = omega_rhs(curve, params, omega=omega)
+        assert same is omega
+        assert resubstitution_gap(curve, omega, chi, params) == 0.0
+        mask = far_field_mask(grid256)
+        v_dot_t = tangential_velocity(curve, omega.omega, node_operator(curve))
+        assert np.array_equal(chi, omega.omega - 2.0 * params.atwood * mask * v_dot_t)
+
+    def test_omega_from_chi_resubstitutes(self, grid256):
+        # the converged omega solves omega = chi + 2A M V(omega) . T, and is the
+        # omega that chi was made from
+        params = wave_params()
+        curve, omega = wave_state(grid256)
+        chi = omega_rhs(curve, params, omega=omega)[1]
+        solved, same, _, _ = omega_rhs(curve, params, chi, tol=1e-12)
+        assert same is chi
+        assert resubstitution_gap(curve, solved, chi, params) <= 1e-12
+        assert np.max(np.abs(solved.omega - omega.omega)) <= 1e-11
 
     def test_warm_start(self, grid256):
-        # from a nearby state's rate the same stop rule resubstitutes to
-        # 10 tol, the Muskat residual bound, and lands on the cold rate
+        # from a nearby state's omega the same stop rule resubstitutes to
+        # 10 tol, the Muskat residual bound, and lands on the cold omega
         params = wave_params()
         curve, omega = wave_state(grid256)
-        nearby = (bump_curve(grid256, 0.045), gaussian_strength(grid256, amplitude=0.11))
+        chi = omega_rhs(curve, params, omega=omega)[1]
         tol = 1e-10
-        cold, velocity = omega_rhs(curve, omega, params, tol=tol)
-        guess, _ = omega_rhs(*nearby, params, tol=tol)
-        warm, _ = omega_rhs(curve, omega, params, tol=tol, guess=guess)
-        assert resubstitution_gap(curve, omega, params, warm, velocity) <= 10.0 * tol
-        assert np.max(np.abs(warm - cold)) <= 1e-9
+        cold = omega_rhs(curve, params, chi, tol=tol)[0]
+        guess = gaussian_strength(grid256, amplitude=0.11).omega
+        warm = omega_rhs(curve, params, chi, tol=tol, guess=guess)[0]
+        assert resubstitution_gap(curve, warm, chi, params) <= 10.0 * tol
+        assert np.max(np.abs(warm.omega - cold.omega)) <= 1e-9
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_rejects_bad_tolerance(self, grid256, tol):
+        curve, omega = wave_state(grid256)
         with pytest.raises(ValidationError):
-            omega_rhs(*wave_state(grid256), wave_params(), tol=tol)
+            omega_rhs(curve, wave_params(), omega.omega, tol=tol)
 
     @pytest.mark.parametrize("guess", [np.zeros(255), np.full(256, np.nan), np.full(256, np.inf)])
     def test_rejects_bad_guess(self, grid256, guess):
+        curve, omega = wave_state(grid256)
         with pytest.raises(ValidationError):
-            omega_rhs(*wave_state(grid256), wave_params(), guess=guess)
+            omega_rhs(curve, wave_params(), omega.omega, guess=guess)
 
     def test_rejects_mismatched_grids(self, grid256):
         curve = bump_curve(grid256, 0.05)
         omega = gaussian_strength(Grid(20.0, 128), amplitude=0.1)
         with pytest.raises(ValidationError):
-            omega_rhs(curve, omega, wave_params())
+            omega_rhs(curve, wave_params(), omega=omega)
 
 
 class TestFreeSurface:
     def test_free_surface_runs(self):
-        # rho_+ = 0 (A = -1), the classical water wave: the rate's fixed-point
+        # rho_+ = 0 (A = -1), the classical water wave: the closure's fixed-point
         # map contracts by about 0.9 per iteration, so a cold solve takes up
-        # to 96 of kernels.MAX_FIXED_POINT_ITER iterations
+        # to about 100 of kernels.MAX_FIXED_POINT_ITER iterations
         parsed = parse_config(str(CONFIGS / "internal_wave.cfg"))
         params = dataclasses.replace(parsed.sim.params, rho_plus=0.0)
         sim = dataclasses.replace(parsed.sim, params=params, t_end=25 * parsed.sim.dt)
         state = initial_state(dataclasses.replace(parsed, sim=sim))
         assert params.atwood == -1.0 and sim.grid.node_count == 256
         tol = kernels.FIXED_POINT_TOL
-        rate, velocity = omega_rhs(state.curve, state.omega, params, tol=tol)
-        assert resubstitution_gap(state.curve, state.omega, params, rate, velocity) <= 10.0 * tol
+        assert resubstitution_gap(state.curve, state.omega, state.chi, params) <= 10.0 * tol
         summary = run(sim, state)
         assert summary.status == "completed" and summary.steps_completed == 25
-
-
-class TestTangentialVelocityRate:
-    @pytest.mark.parametrize("amplitude, omega_amp", [(0.1, 0.3), (-0.4, 0.8)])
-    def test_matches_centred_difference(self, grid256, amplitude, omega_amp):
-        # d/dt of V . T as the nodes move with the velocity at fixed omega:
-        # a centred difference over node_operator(z +/- eps zdot) converges at eps^2
-        curve = bump_curve(grid256, amplitude, z1_amp=0.1)
-        omega = gaussian_strength(grid256, amplitude=omega_amp, center=0.4)
-        op = node_operator(curve)
-        u, v = pv_all_nodes(curve, omega, op)
-        exact = tangential_velocity_rate(curve, omega.omega, (u, v), op)
-        errors = []
-        for eps in (1e-2, 1e-3):
-            moved = [
-                InterfaceCurve(grid256, curve.z1 + s * eps * u, curve.z2 + s * eps * v, validate=False)
-                for s in (1.0, -1.0)
-            ]
-            plus, minus = (tangential_velocity(c, omega.omega, node_operator(c)) for c in moved)
-            errors.append(np.max(np.abs((plus - minus) / (2.0 * eps) - exact)) / np.max(np.abs(exact)))
-        assert errors[1] <= 1e-8
-        assert errors[0] / errors[1] >= 50.0  # second order: 100x per decade
-
-    def test_zero_velocity_or_strength(self, grid256):
-        curve = bump_curve(grid256, 0.2)
-        omega = gaussian_strength(grid256, amplitude=0.5)
-        op = node_operator(curve)
-        zero = np.zeros(grid256.node_count)
-        assert np.all(tangential_velocity_rate(curve, omega.omega, (zero, zero), op) == 0.0)
-        velocity = pv_all_nodes(curve, omega, op)
-        assert np.all(tangential_velocity_rate(curve, zero, velocity, op) == 0.0)
