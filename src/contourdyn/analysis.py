@@ -79,15 +79,6 @@ class BoundFit:
     fit_slack: float
 
 
-def _quad_interp(values: FloatArray, grid_alpha: FloatArray, h: float, jc: int, at: float) -> float:
-    """Quadratic (three-point Lagrange) interpolation around node jc."""
-    x = at - grid_alpha[jc]
-    wm = x * (x - h) / (2.0 * h * h)
-    w0 = (h * h - x * x) / (h * h)
-    wp = x * (x + h) / (2.0 * h * h)
-    return float(wm * values[jc - 1] + w0 * values[jc] + wp * values[jc + 1])
-
-
 def depth_rate(
     curve: InterfaceCurve,
     omega: VorticityStrength,
@@ -97,7 +88,7 @@ def depth_rate(
     """Minimum-depth rate dm/dt and its band decomposition, as one diagnostics row.
 
     The quadrature runs at the refined argmin (or at ``alpha_star`` when
-    given); curve and omega values there come from parabolic interpolation.
+    given); curve and omega values there come from Grid.interpolate.
     The exact partition J = J_m + J_1 + J_inf is preserved by assigning the
     analytic logarithm of the subtracted singularity to the far band, where
     the symmetric inner bands contribute zero by parity.
@@ -105,22 +96,20 @@ def depth_rate(
     _require_shared_grid(curve, omega)
     curve.require_resolved()
     grid = curve.grid
-    alpha = grid.alpha
     h = grid.spacing
     md = curve.min_depth
     m = md.m
     a_star = md.alpha_star if alpha_star is None else float(alpha_star)
-    jc = int(np.clip(round((a_star + grid.half_width) / h), 1, grid.node_count - 2))
 
     (d1x, d1y), (d2x, d2y) = curve.d1, curve.d2
     z1s, z2s, d1xs, d1ys, d2xs, d2ys, oms, doms = (
-        _quad_interp(values, alpha, h, jc, a_star)
+        grid.interpolate(values, a_star)
         for values in (curve.z1, curve.z2, d1x, d1y, d2x, d2y, omega.omega, omega.d1)
     )
 
     # One row R of the shared product form at t = z(alpha*), punctured where
     # alpha* sits on a node: Re(1/(t - z) - 1/(t - zbar)) = -2 z2 Im R.
-    u = a_star - alpha
+    u = a_star - grid.alpha
     au = np.abs(u)
     on_star = au < _LIMIT_SWITCH * h
     row = sheet_row(curve, z1s + 1j * z2s, on_star)

@@ -6,7 +6,9 @@ agree with the rest configuration (alpha, 1): the outermost DECAY_BAND nodes on
 each side carry the flat state to within DECAY_TOL (a Grid has at least 16
 nodes, so both bands fit).  That convention keeps the truncated quadratures
 well defined (analytic tail corrections become exact) and gives the
-finite-difference stencils known boundary values.
+finite-difference stencils known boundary values.  The Grid owns the
+discretization: every derivative, off-grid value and refined minimum of
+sampled data comes from Grid.derivative, Grid.interpolate or Grid.minimum.
 
 All operations here are pure functions of immutable samples; derived arrays are
 cached on the owning object and are safe to share across threads.  How a curve
@@ -96,6 +98,55 @@ class Grid:
         mask.flags.writeable = False
         return mask
 
+    def derivative(self, values: FloatArray, order: int, edge_value: float = 0.0) -> FloatArray:
+        """Fourth-order central difference of real or complex samples, flat on the edge bands.
+
+        The outermost DECAY_BAND nodes on each side are set to ``edge_value``; this
+        is exact for functions that are constant on the bands, which the far-field
+        decay invariant guarantees for every field we differentiate.
+        """
+        h = self.spacing
+        v = np.asarray(values, dtype=np.result_type(values, 1.0))
+        out = np.zeros_like(v)
+        if order == 1:
+            out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
+        elif order == 2:
+            inner = -v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]
+            out[2:-2] = inner / (12.0 * h * h)
+        else:
+            raise ValueError(f"order must be 1 or 2, got {order}")
+        out[:DECAY_BAND] = edge_value
+        out[out.size - DECAY_BAND:] = edge_value
+        return out
+
+    def interpolate(self, values: FloatArray, at: float) -> float:
+        """Three-point Lagrange interpolation at ``at``, about the nearest node in 1..N-2."""
+        h = self.spacing
+        jc = min(max(round((at + self.half_width) / h), 1), self.node_count - 2)
+        x = at - self.alpha[jc]
+        wm = x * (x - h) / (2.0 * h * h)
+        w0 = (h * h - x * x) / (h * h)
+        wp = x * (x + h) / (2.0 * h * h)
+        return float(wm * values[jc - 1] + w0 * values[jc] + wp * values[jc + 1])
+
+    def minimum(self, values: FloatArray) -> tuple[float, float, int]:
+        """(value, alpha, index): the smallest sample, refined by parabolic interpolation.
+
+        The discrete argmin takes the smallest alpha among exact ties; the
+        refined location never leaves the bracketing cell.
+        """
+        j = int(np.argmin(values))
+        alpha, h = self.alpha, self.spacing
+        if j == 0 or j == values.size - 1:
+            return float(values[j]), float(alpha[j]), j
+        fm, f0, fp = float(values[j - 1]), float(values[j]), float(values[j + 1])
+        denom = fm - 2.0 * f0 + fp
+        if denom <= 0.0:
+            return f0, float(alpha[j]), j
+        offset = float(np.clip(0.5 * h * (fm - fp) / denom, -h, h))
+        m = f0 - (fp - fm) ** 2 / (8.0 * denom)
+        return float(min(m, f0)), float(alpha[j] + offset), j
+
     @cached_property
     def far_field_mask(self) -> FloatArray:
         """Smooth cutoff that is 0 on the decay bands and 1 in the interior.
@@ -166,28 +217,6 @@ class PhysicalParams:
         return self.density_jump / total
 
 
-def fd_derivative(values: FloatArray, h: float, order: int, edge_value: float = 0.0) -> FloatArray:
-    """Fourth-order central difference of real or complex samples, flat on the edge bands.
-
-    The outermost DECAY_BAND nodes on each side are set to ``edge_value``; this
-    is exact for functions that are constant on the bands, which the far-field
-    decay invariant guarantees for every field we differentiate.
-    """
-    v = np.asarray(values, dtype=np.result_type(values, 1.0))
-    out = np.zeros_like(v)
-    if order == 1:
-        out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
-    elif order == 2:
-        out[2:-2] = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (
-            12.0 * h * h
-        )
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    out[:DECAY_BAND] = edge_value
-    out[out.size - DECAY_BAND:] = edge_value
-    return out
-
-
 @dataclass(eq=False)
 class InterfaceCurve:
     """Sampled interface (z1, z2) over a grid, strictly above the bottom.
@@ -236,19 +265,11 @@ class InterfaceCurve:
 
     @cached_property
     def d1(self) -> tuple[FloatArray, FloatArray]:
-        h = self.grid.spacing
-        return (
-            fd_derivative(self.z1, h, 1, edge_value=1.0),
-            fd_derivative(self.z2, h, 1, edge_value=0.0),
-        )
+        return self.grid.derivative(self.z1, 1, edge_value=1.0), self.grid.derivative(self.z2, 1)
 
     @cached_property
     def d2(self) -> tuple[FloatArray, FloatArray]:
-        h = self.grid.spacing
-        return (
-            fd_derivative(self.z1, h, 2, edge_value=0.0),
-            fd_derivative(self.z2, h, 2, edge_value=0.0),
-        )
+        return self.grid.derivative(self.z1, 2), self.grid.derivative(self.z2, 2)
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -388,35 +409,16 @@ def chord_arc_constant(curve: InterfaceCurve) -> float:
 
 
 class MinDepth(NamedTuple):
-    """Refined minimum depth, its location, the discrete argmin and its tie count."""
+    """Refined minimum depth, its location and the discrete argmin."""
 
     m: float
     alpha_star: float
     index: int
-    tie_count: int
 
 
 def min_depth(curve: InterfaceCurve) -> MinDepth:
-    """Minimum height above the bottom, refined by parabolic interpolation.
-
-    The discrete argmin takes the smallest alpha among exact ties; the refined
-    location never leaves the bracketing cell.
-    """
-    z2 = curve.z2
-    j = int(np.argmin(z2))
-    tie_count = int(np.count_nonzero(z2 == z2[j]))
-    alpha = curve.grid.alpha
-    h = curve.grid.spacing
-    if j == 0 or j == z2.size - 1:
-        return MinDepth(float(z2[j]), float(alpha[j]), j, tie_count)
-    fm, f0, fp = float(z2[j - 1]), float(z2[j]), float(z2[j + 1])
-    denom = fm - 2.0 * f0 + fp
-    if denom <= 0.0:
-        return MinDepth(f0, float(alpha[j]), j, tie_count)
-    offset = 0.5 * h * (fm - fp) / denom
-    offset = float(np.clip(offset, -h, h))
-    m = f0 - (fp - fm) ** 2 / (8.0 * denom)
-    return MinDepth(float(min(m, f0)), float(alpha[j] + offset), j, tie_count)
+    """Minimum height above the bottom: the grid's refined minimum of z2 (Grid.minimum)."""
+    return MinDepth(*curve.grid.minimum(curve.z2))
 
 
 def holder_norms(curve: InterfaceCurve) -> tuple[float, float, float]:

@@ -62,7 +62,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import NoConvergence, ValidationError
-from .geometry import DECAY_TOL, FloatArray, Grid, InterfaceCurve, fd_derivative
+from .geometry import DECAY_TOL, FloatArray, Grid, InterfaceCurve
 
 INV_2PI_I = 1.0 / (2j * np.pi)
 
@@ -110,7 +110,7 @@ class VorticityStrength:
 
     @cached_property
     def d1(self) -> FloatArray:
-        return fd_derivative(self.omega, self.grid.spacing, 1, edge_value=0.0)
+        return self.grid.derivative(self.omega, 1)
 
 
 def _require_shared_grid(curve: InterfaceCurve, omega: VorticityStrength) -> None:

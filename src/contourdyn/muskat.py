@@ -36,7 +36,6 @@ from .geometry import (
     PhysicalParams,
     curvature,
     far_field_mask,
-    fd_derivative,
 )
 from .kernels import FIXED_POINT_TOL, VorticityStrength, node_operator, solve_tangential
 
@@ -50,15 +49,15 @@ def vorticity_rhs(curve: InterfaceCurve, params: PhysicalParams) -> FloatArray:
     """Driving term gamma * d(kappa) + [rho] g * d(z2), nodewise.
 
     With gamma > 0 the curvature samples are differentiated by the same
-    fourth-order stencil used everywhere else, so the curve needs four
-    discrete derivatives' worth of smoothness.
+    fourth-order stencil as everywhere else, Grid.derivative, so the curve
+    needs four discrete derivatives' worth of smoothness.
     """
     _require_muskat(params)
     _, d1z2 = curve.d1
     rhs = params.density_jump * params.g * d1z2
     if params.gamma > 0.0:
         kap = curvature(curve)
-        rhs = rhs + params.gamma * fd_derivative(kap, curve.grid.spacing, 1, edge_value=0.0)
+        rhs = rhs + params.gamma * curve.grid.derivative(kap, 1)
     else:
         curve.require_resolved()
     return rhs

@@ -34,7 +34,6 @@ from .geometry import (
     Model,
     PhysicalParams,
     curvature,
-    fd_derivative,
 )
 from .kernels import (
     FIXED_POINT_TOL,
@@ -106,4 +105,4 @@ def omega_rhs(
             chi = chi - gain * tangential_velocity(curve, omega.omega, operator)
     velocity = pv_all_nodes(curve, omega, operator)
     bracket = bracket_term(curve, omega, velocity, params)
-    return omega, chi, -fd_derivative(bracket, curve.grid.spacing, 1, edge_value=0.0), velocity
+    return omega, chi, -curve.grid.derivative(bracket, 1), velocity

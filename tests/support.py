@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from contourdyn import kernels
-from contourdyn.analysis import _LIMIT_SWITCH, DepthDiagnostics, _flat_tail, _quad_interp
+from contourdyn.analysis import _LIMIT_SWITCH, DepthDiagnostics, _flat_tail
 from contourdyn.errors import SelfIntersection
 from contourdyn.geometry import (
     CHORD_ARC_BLOCK,
@@ -241,12 +241,11 @@ def p_form_depth_rate(curve: InterfaceCurve, omega: VorticityStrength,
     md = min_depth(curve)
     m = md.m
     a_star = md.alpha_star if alpha_star is None else float(alpha_star)
-    jc = int(np.clip(round((a_star + grid.half_width) / h), 1, grid.node_count - 2))
 
     d1x, d1y = curve.d1
     d2x, d2y = curve.d2
     z1s, z2s, d1xs, d1ys, d2xs, d2ys, oms, doms = (
-        _quad_interp(values, alpha, h, jc, a_star)
+        grid.interpolate(values, a_star)
         for values in (curve.z1, curve.z2, d1x, d1y, d2x, d2y, omega.omega, omega.d1)
     )
 

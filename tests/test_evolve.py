@@ -14,7 +14,7 @@ from contourdyn.config import parse_config, with_grid
 from contourdyn.errors import BottomContact, StabilityFailure, ValidationError
 from contourdyn.evolve import SimConfig, SimState, pv_all_nodes, run, step
 from contourdyn.geometry import (
-    Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask, fd_derivative, min_depth,
+    Grid, InterfaceCurve, Model, PhysicalParams, far_field_mask, min_depth,
 )
 from contourdyn.kernels import VorticityStrength, node_operator, solve_tangential
 from contourdyn.muskat import solve_vorticity_equal
@@ -173,7 +173,7 @@ class TestStep:
         assert np.array_equal(state.field[:2], mask * np.stack(velocity))
         if params.model is Model.WATER_WAVES:
             bracket = waterwaves.bracket_term(state.curve, state.omega, velocity, params)
-            rate = -fd_derivative(bracket, state.curve.grid.spacing, 1, edge_value=0.0)
+            rate = -state.curve.grid.derivative(bracket, 1)
             assert np.array_equal(state.field[2], mask * rate)
 
     @pytest.mark.parametrize("rho_plus", [1.0, 0.0], ids=["shipped", "free-surface"])

@@ -1,5 +1,6 @@
 """Geometry operations: derivatives, curvature, chord-arc, minimum depth."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -154,18 +155,50 @@ class TestDerivative:
         # d z2 / d alpha = -0.1 sin(alpha) = 0 at alpha = 0, to O(h^4)
         assert abs(d1y[j0]) <= 5.0 * h**4
 
-    def test_order_of_accuracy(self):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_order_of_accuracy(self, order):
+        # the first and second derivatives of z2 = 1 + 0.1 cos(alpha) w
         errs = []
         for n in (256, 512):
             curve = trig_curve(n)
-            _, d1y = curve.d1
             g = curve.grid
-            w = plateau_window(g.alpha, 6.0, 6.0)
-            exact = -0.1 * np.sin(g.alpha)
+            exact = -0.1 * (np.sin, np.cos)[order - 1](g.alpha)
             inner = np.abs(g.alpha) <= 5.0  # plateau: window exactly 1
-            errs.append(np.max(np.abs(d1y[inner] - exact[inner])))
+            errs.append(np.max(np.abs(g.derivative(curve.z2, order)[inner] - exact[inner])))
         ratio = errs[0] / errs[1]
-        assert 12.0 <= ratio <= 20.0  # 4th order: ~16x per halving
+        assert 12.0 <= ratio <= 20.0  # 4th order: ~16x per halving (15.95 and 15.96)
+
+
+class TestGridInterpolate:
+    @pytest.mark.parametrize("n", [16, 256, 2048])
+    @pytest.mark.parametrize("half_width", [1.0, 20.0])
+    def test_reproduces_quadratics(self, n, half_width):
+        # three-point interpolation is exact on quadratics up to rounding, also
+        # within one cell of either end node, where the stencil clips inward
+        g = Grid(half_width, n)
+        h, rng = g.spacing, np.random.default_rng(n)
+        at = np.concatenate((
+            rng.uniform(-half_width, half_width - h, 16),
+            -half_width + h * rng.uniform(0.0, 1.0, 8),
+            half_width - h * rng.uniform(1.0, 2.0, 8),
+        ))
+        for c0, c1, c2 in rng.standard_normal((8, 3)):
+            values = c0 + c1 * g.alpha + c2 * g.alpha**2
+            exact = c0 + c1 * at + c2 * at**2
+            got = np.array([g.interpolate(values, float(a)) for a in at])
+            assert np.max(np.abs(got - exact)) <= 1e-15 * np.max(np.abs(values))
+
+
+class TestGridMinimum:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_vertex_of_a_parabola(self, n):
+        # the refinement is exact on a sampled parabola: its vertex, off-node
+        g = Grid(20.0, n)
+        for vertex in np.random.default_rng(n).uniform(-10.0, 10.0, 16):
+            value, alpha, index = g.minimum(0.5 + (g.alpha - vertex) ** 2)
+            assert abs(value - 0.5) <= 1e-14
+            assert abs(alpha - vertex) <= 1e-14
+            assert abs(g.alpha[index] - vertex) <= 0.5 * g.spacing
 
 
 class TestCurvature:
@@ -478,7 +511,6 @@ class TestMinDepth:
         flat = InterfaceCurve(grid256, grid256.alpha.copy(), np.ones(grid256.node_count))
         md = min_depth(flat)
         assert md.m == 1.0
-        assert md.tie_count == grid256.node_count
         assert md.alpha_star == grid256.alpha[0]  # smallest alpha among ties
 
     def test_cosine_window_minimum(self):
@@ -573,3 +605,26 @@ class TestShapeAndTinyGrids:
         assert min_depth(curve).m == 1.0
         assert chord_arc_constant(curve) == pytest.approx(1.0, abs=1e-12)
         assert holder_norms(curve) == (0.0, 0.0, 0.0)
+
+
+class TestSource:
+    def test_only_the_grid_reads_its_spacing(self):
+        # the stencils, the interpolation and the refined minimum are Grid
+        # methods: outside geometry, h is read only by the step cap, the
+        # profile window fit and the depth quadrature's on-node switch and
+        # end cells
+        package = Path(geometry.__file__).parent
+        readers = set()
+        for path in package.glob("*.py"):
+            if path.stem == "geometry":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for f in ast.walk(tree):
+                if isinstance(f, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "spacing" for n in ast.walk(f)
+                ):
+                    readers.add(f"{path.stem}.{f.name}")
+        assert readers == {
+            "analysis.depth_rate", "evolve.capped_dt", "profiles._window_or_fail",
+            "profiles.build_initial",
+        }
