@@ -121,9 +121,8 @@ def _evaluate(curve: InterfaceCurve, config: SimConfig, omega, chi, guess):
 
     A wave curve's strength solves from its ``chi``, or where chi is None gives
     it from ``omega``; a Muskat curve's strength is the closure's, with no chi.
-    The velocity is one apply of the held operator, or the wave closure's fused
-    pass at A = 0; with no operator an equal-viscosity field would cost one
-    more pass: None.
+    The velocity is one apply of the held operator; an equal-viscosity closure
+    holds none, and its field, which would cost one more pass, is None.
     """
     mask = curve.grid.far_field_mask
     if config.model is Model.WATER_WAVES:

@@ -36,11 +36,12 @@ rows, which depends on N alone, so a split pass and a one-thread pass walk the
 same blocks.  A closure that applies one curve's operator more than once (the
 Muskat Picard solve, the wave closure) holds its node_operator, the bare rows
 R, and passes it to pv_all_nodes, whose sums are then one apply of it to the
-density, its scale formed once per curve.  Both closures iterate in
-solve_tangential on V . dz/dalpha, where the limit's f' term drops (it is
-imaginary once multiplied by z'): tangential_velocity is one apply plus O(N)
-work.  So a pair pass and an apply are the only O(N^2) walks; no closure reads
-the operator's rows.  pair_passes counts both kinds of pass, process-wide.
+density, its scale formed once per curve.  Both closures iterate one equation,
+x = r + g V(x) . dz/dalpha, in solve_tangential; in V . dz/dalpha the limit's
+f' term drops (it is imaginary once multiplied by z'): tangential_velocity is
+one apply plus O(N) work.  So a pair pass and an apply are the only O(N^2)
+walks; no closure reads the operator's rows.  pair_passes counts both kinds of
+pass, process-wide.
 
 From SPLIT_NODES nodes on, the calling thread runs the lower half of the
 target columns, cut at a multiple of the block height, and one persistent
@@ -262,24 +263,22 @@ def tangential_velocity(curve: InterfaceCurve, omega: FloatArray, operator: np.n
     return (far * curve.dz).real + curve.tangential_limit * omega
 
 
-def solve_tangential(curve, operator, rhs, gain, weight=1.0, *, tol, what, guess=None):
-    """x = weight (rhs + gain V(x) . dz/dalpha) by fixed-point iteration from ``guess``.
+def solve_tangential(curve, operator, rhs, gain, *, tol, what, guess=None):
+    """x = rhs + gain V(x) . dz/dalpha by fixed-point iteration from ``guess``, else rhs.
 
-    ``gain`` and ``weight`` are scalars or nodewise arrays; ``guess`` defaults
-    to weight * rhs.  One tangential_velocity apply of the held operator and
-    O(N) work per iteration, until successive iterates agree to tol in the sup
-    norm.  Returns x and the iteration count; NoConvergence, naming the solve
-    ``what``, after MAX_FIXED_POINT_ITER iterations.
+    ``gain`` is a scalar or a nodewise array.  One tangential_velocity apply of
+    the held operator and O(N) work per iteration, until successive iterates
+    agree to tol in the sup norm.  Returns x and the iteration count;
+    NoConvergence, naming the solve ``what``, after MAX_FIXED_POINT_ITER iterations.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tolerance must be finite and positive, got {tol}")
     if guess is not None and not (np.shape(guess) == np.shape(rhs) and np.all(np.isfinite(guess))):
         raise ValidationError(f"guess must be finite, of the shape {np.shape(rhs)} of rhs")
-    x, diff = weight * rhs if guess is None else guess, np.inf
+    x, diff = rhs if guess is None else guess, np.inf
     for iteration in range(1, MAX_FIXED_POINT_ITER + 1):
-        new = weight * (rhs + gain * tangential_velocity(curve, x, operator))
+        new = rhs + gain * tangential_velocity(curve, x, operator)
         diff, x = float(np.max(np.abs(new - x))), new
         if diff <= tol:
             return x, iteration
     raise NoConvergence(MAX_FIXED_POINT_ITER, diff, what=what)
-

@@ -10,18 +10,19 @@ using the one-sided velocity limits gives the linear relation
 where V is the mean (principal-value) sheet velocity.  The far-field mask M
 keeps omega exactly zero on the decay bands, consistent with the
 truncated-domain far-field closure, so the equation solved is the masked one,
-omega = M (rhs + (mu_+ - mu_-) V . dz/dalpha) / mu_mean.  With equal
-viscosities it is explicit, omega = M rhs / mu_mean (solve_vorticity_equal):
-the viscosity ratio decides the cost of the solve, not its answer.  Otherwise
-it is a second-kind integral equation solved by Picard iteration
-(kernels.solve_tangential, one apply and one masked update per iteration,
-until successive iterates agree to tol in the sup norm), whose natural
-contraction factor is |mu_+ - mu_-| / (mu_+ + mu_-) times the norm of the
-velocity operator.  Only V . dz/dalpha enters, which needs no derivative of
-omega (kernels.tangential_velocity): an iteration is one apply of the curve's
-held operator plus O(N) work.  solve_vorticity decides whether the closure
-holds an operator, and returns it with omega, so a caller's velocity is one
-more apply of it (kernels.pv_all_nodes).
+omega = r + g V(omega) . dz/dalpha, with r = M rhs / mu_mean the explicit
+strength and g = M (mu_+ - mu_-) / mu_mean.  With equal viscosities g is zero
+and omega is r (solve_vorticity_equal), with no operator: the viscosity ratio
+decides the cost of the solve, not its answer.  Otherwise it is a second-kind
+integral equation solved by Picard iteration from r (kernels.solve_tangential,
+one apply and one update per iteration, until successive iterates agree to
+tol in the sup norm), whose natural contraction factor is
+|mu_+ - mu_-| / (mu_+ + mu_-) times the norm of the velocity operator.  Only
+V . dz/dalpha enters, which needs no derivative of omega
+(kernels.tangential_velocity): an iteration is one apply of the curve's held
+operator plus O(N) work.  solve_vorticity decides whether the closure holds an
+operator, and returns it with omega, so a caller's velocity is one more apply
+of it (kernels.pv_all_nodes).
 """
 
 from __future__ import annotations
@@ -63,21 +64,20 @@ def vorticity_rhs(curve: InterfaceCurve, params: PhysicalParams) -> FloatArray:
     return rhs
 
 
-def equal_viscosity(params: PhysicalParams) -> bool:
-    """Whether the closure is explicit: mu_+ == mu_- to roundoff."""
-    return abs(params.viscosity_jump) <= 1e-14 * params.viscosity_mean
+def _explicit_strength(curve: InterfaceCurve, params: PhysicalParams) -> FloatArray:
+    """r = M rhs / mu_mean: the strength at equal viscosities, the Picard start otherwise."""
+    return far_field_mask(curve.grid) * vorticity_rhs(curve, params) / params.viscosity_mean
 
 
 def solve_vorticity_equal(curve: InterfaceCurve, params: PhysicalParams) -> VorticityStrength:
     """The masked equation's solution at equal viscosities: omega = M rhs / mu."""
     _require_muskat(params)
-    if not equal_viscosity(params):
+    if params.viscosity_jump != 0.0:
         raise ValidationError(
             f"equal-viscosity solve requires mu_plus == mu_minus, got "
             f"{params.mu_plus} and {params.mu_minus}"
         )
-    rhs = vorticity_rhs(curve, params)
-    return VorticityStrength(curve.grid, far_field_mask(curve.grid) * rhs / params.viscosity_mean)
+    return VorticityStrength(curve.grid, _explicit_strength(curve, params))
 
 
 def solve_vorticity_general(
@@ -89,8 +89,8 @@ def solve_vorticity_general(
 ) -> VorticityStrength:
     """Picard solve of the viscosity-contrast integral equation.
 
-    Starts from ``guess`` (a nearby curve's strength) or else the equal-viscosity
-    formula with the mean viscosity, and iterates the fixed-point map, one apply
+    Starts from ``guess`` (a nearby curve's strength) or else the explicit
+    strength M rhs / mu_mean, and iterates the fixed-point map, one apply
     of ``operator`` (the curve's node_operator, built here if not given) each,
     until successive sup-norm change <= tol.  NoConvergence after
     kernels.MAX_FIXED_POINT_ITER iterations signals an under-resolved or
@@ -98,9 +98,9 @@ def solve_vorticity_general(
     """
     _require_muskat(params)
     operator = node_operator(curve) if operator is None else operator
-    weight = far_field_mask(curve.grid) / params.viscosity_mean
+    gain = far_field_mask(curve.grid) * params.viscosity_jump / params.viscosity_mean
     omega_arr, iterations = solve_tangential(
-        curve, operator, vorticity_rhs(curve, params), params.viscosity_jump, weight,
+        curve, operator, _explicit_strength(curve, params), gain,
         tol=tol, what="viscosity-contrast Picard iteration", guess=guess,
     )
     result = VorticityStrength(curve.grid, omega_arr)
@@ -116,7 +116,7 @@ def solve_vorticity(
     Explicit with no operator for equal viscosities; else a Picard solve from
     ``guess`` on the curve's node_operator, which comes back with omega.
     """
-    if equal_viscosity(params):
+    if params.viscosity_jump == 0.0:
         return solve_vorticity_equal(curve, params), None
     operator = node_operator(curve)
     return solve_vorticity_general(curve, params, operator=operator, guess=guess), operator

@@ -19,8 +19,8 @@ Muskat closure solves with other coefficients, on the curve's operator in the
 fixed-point loop of kernels.solve_tangential, from a nearby state's omega.
 The velocity is one more apply of that operator (kernels.pv_all_nodes), and
 the rate the derivative of the bracket.  A state that enters from its omega
-gets its chi on the same operator.  At A = 0, chi is omega and no operator is
-built.  The rate depends on no step size, so RK4 stays fourth order in time.
+gets its chi on the same operator, at every A.  The rate depends on no step
+size, so RK4 stays fourth order in time.
 """
 
 from __future__ import annotations
@@ -80,29 +80,24 @@ def omega_rhs(
 ) -> tuple[VorticityStrength, FloatArray, FloatArray, tuple[FloatArray, FloatArray]]:
     """(omega, chi, rate, velocity): the wave closure of ``curve``, from ``chi`` or else ``omega``.
 
-    Unless A = 0 the curve's operator is built first.  Given chi, omega solves
+    The curve's operator is built first.  Given chi, omega solves
     omega = chi + 2A M V(omega) . T on it, iterating from ``guess`` (a nearby
     state's omega) or chi; otherwise chi = omega - 2A M V(omega) . T.  The
-    velocity (u, v) is one apply of the operator, or at A = 0, where chi is
-    omega, one fused pass.  The rate of chi is returned unmasked.
+    velocity (u, v) is one apply of the operator; the rate of chi is unmasked.
     """
     _require_waves(params)
     gain = 2.0 * params.atwood * curve.grid.far_field_mask
-    operator = None if params.atwood == 0.0 else node_operator(curve)
+    operator = node_operator(curve)
     if omega is None:
-        strength = chi
-        if operator is not None:
-            strength, iterations = solve_tangential(
-                curve, operator, chi, gain, tol=tol, what="wave closure iteration", guess=guess,
-            )
-            logger.debug("wave closure converged in %d iterations", iterations)
+        strength, iterations = solve_tangential(
+            curve, operator, chi, gain, tol=tol, what="wave closure iteration", guess=guess,
+        )
+        logger.debug("wave closure converged in %d iterations", iterations)
         # on the bands omega is chi, which the mask holds at its entering values
         omega = VorticityStrength(curve.grid, strength, validate=False)
     else:
         _require_shared_grid(curve, omega)
-        chi = omega.omega
-        if operator is not None:
-            chi = chi - gain * tangential_velocity(curve, omega.omega, operator)
+        chi = omega.omega - gain * tangential_velocity(curve, omega.omega, operator)
     velocity = pv_all_nodes(curve, omega, operator)
     bracket = bracket_term(curve, omega, velocity, params)
     return omega, chi, -curve.grid.derivative(bracket, 1), velocity

@@ -264,8 +264,8 @@ class TestOneOperator:
             pytest.param("stable_relaxation.cfg", {}, 128, 4, 0, id="equal"),
             pytest.param("stable_relaxation.cfg", CONTRAST, 128, 0, 4, id="contrast"),
             pytest.param("internal_wave.cfg", {}, 128, 0, 4, id="waves"),
-            # equal densities (A = 0): chi is omega, so no operator is held
-            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 128, 4, 0, id="waves-equal"),
+            # equal densities (A = 0): the wave closure holds its operator too
+            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 128, 0, 4, id="waves-equal"),
             # from SPLIT_NODES on each pass runs as two halves, still one pass
             pytest.param("stable_relaxation.cfg", {}, 1024, 4, 0, id="equal-split"),
             pytest.param("stable_relaxation.cfg", CONTRAST, 1024, 0, 4, id="contrast-split"),
@@ -274,7 +274,7 @@ class TestOneOperator:
     def test_assemblies_per_step(self, config, physics, n, fused, assembled):
         # one pair pass per distinct curve: a fused pass for each RK stage's
         # one-shot velocity; an operator for each repeatedly applied curve,
-        # the Picard solve or the wave closure's omega and velocity (A != 0)
+        # the Picard solve or the wave closure's omega and velocity (any A)
         # of stages 2-4 and the accepted curve (the initial state holds its k1)
         parsed = with_grid(parse_config(str(CONFIGS / config)), n)
         if physics:
@@ -294,7 +294,7 @@ class TestOneOperator:
             pytest.param("stable_relaxation.cfg", {}, 0, 0, id="equal"),
             pytest.param("stable_relaxation.cfg", CONTRAST, 0, 1, id="contrast"),
             pytest.param("internal_wave.cfg", {}, 0, 1, id="waves"),
-            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 1, 0, id="waves-equal"),
+            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 0, 1, id="waves-equal"),
         ],
     )
     def test_passes_per_initial_state(self, config, physics, fused, assembled):
@@ -351,12 +351,12 @@ class TestOneOperator:
         [
             pytest.param("stable_relaxation.cfg", CONTRAST, 0, 4, id="contrast"),
             pytest.param("internal_wave.cfg", {}, 0, 4, id="waves"),
-            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 4, 0, id="waves-equal"),
+            pytest.param("internal_wave.cfg", {"rho_plus": 2.0}, 0, 4, id="waves-equal"),
         ],
     )
     def test_second_contrast_step_reuses_accepted_field(self, config, physics, fused, assembled):
         # the accepted state's closure gives its velocity, the next step's k1:
-        # three stage passes and the accepted one, operators unless A = 0
+        # three stage passes and the accepted one, operators at every A
         parsed = with_grid(parse_config(str(CONFIGS / config)), 128)
         params = dataclasses.replace(parsed.sim.params, **physics)
         parsed = dataclasses.replace(parsed, sim=dataclasses.replace(parsed.sim, params=params))
