@@ -45,8 +45,21 @@ CHORD_ARC_BLOCK = 32
 # units of (L + max |z1 - alpha|).
 CHORD_ARC_SLACK = 1e-12
 CHORD_ARC_ROUNDING = 16.0 * np.finfo(np.float64).eps
+# The far-field mask in alpha units, from +-L: 0 within MASK_EDGE, then a
+# smooth step over MASK_RAMP.  Fixed in alpha, the masked system does not move with h.
+MASK_EDGE = 1.25
+MASK_RAMP = 2.5
 
 FloatArray = np.ndarray
+
+
+def _smooth_step(s: FloatArray) -> FloatArray:
+    """C-infinity step: 0 at s <= 0, 1 at s >= 1."""
+    s = np.clip(s, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = np.where(s > 0.0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
+        g = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
+    return f / (f + g)
 
 
 class Model(enum.Enum):
@@ -149,16 +162,15 @@ class Grid:
 
     @cached_property
     def far_field_mask(self) -> FloatArray:
-        """Smooth cutoff that is 0 on the decay bands and 1 in the interior.
+        """0 on the decay bands, _smooth_step((L - |alpha| - MASK_EDGE) / MASK_RAMP) elsewhere.
 
         Evolution right-hand sides are multiplied by this mask so the truncated
         domain keeps its exact flat far field; the suppressed motion is the
-        O(1/distance^2) far tail that the truncation drops anyway.
+        O(1/distance^2) far tail that the truncation drops anyway.  The distance
+        is from +-L, not from the end nodes, which move with h.
         """
-        ramp, edge = max(DECAY_BAND, self.node_count // 16), np.arange(self.node_count)
-        # distance inward of the decay band; clipped, the cosine gives 0 in it and 1 past the ramp
-        inward = np.clip(np.minimum(edge, edge[::-1]) - DECAY_BAND, -1, ramp)
-        mask = 0.5 - 0.5 * np.cos(np.pi * ((inward + 1.0) / (ramp + 1.0)))
+        ramp = _smooth_step((self.half_width - np.abs(self.alpha) - MASK_EDGE) / MASK_RAMP)
+        mask = np.where(self.band_mask, 0.0, ramp)
         mask.flags.writeable = False
         return mask
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import DECAY_BAND, DECAY_TOL, FloatArray, Grid, InterfaceCurve
+from .geometry import DECAY_BAND, DECAY_TOL, FloatArray, Grid, InterfaceCurve, _smooth_step
 from .kernels import VorticityStrength
 
 # The [initial] keys each profile and omega profile reads; InitialSpec rejects any other.
@@ -21,15 +21,6 @@ PROFILES = {"flat": (), "cosine": ("amplitude", "window_flat", "window_ramp"),
             "pinch": ("delta", "window_ramp"),
             "monotone": ("amplitude", "window_flat", "window_ramp", "z1_wiggle")}
 OMEGA_PROFILES = {"zero": (), "gaussian": ("omega_amplitude", "omega_center", "omega_sigma")}
-
-
-def _smooth_step(s: FloatArray) -> FloatArray:
-    """C-infinity step: 0 at s <= 0, 1 at s >= 1."""
-    s = np.clip(s, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = np.where(s > 0.0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
-        g = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
-    return f / (f + g)
 
 
 def plateau_window(x: FloatArray, flat_half: float, ramp: float) -> FloatArray:

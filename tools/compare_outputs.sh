@@ -14,6 +14,10 @@
 # OUTDIR must lie outside both checkouts; it is created if missing, and the
 # two trees in it are replaced.  The script then runs diff -r on the trees
 # and exits 1 on any difference, 0 when every output is byte-identical.
+# When they differ it also prints, per config, each side's status and
+# steps_completed from summary.json, and the largest |change| of every
+# diagnostics.csv column over the rows both sides wrote; for alpha_star also
+# that of |alpha_star|, since the argmin can flip between mirror minima.
 # Set PYTHON to choose the interpreter (default python3).
 
 set -u
@@ -77,4 +81,52 @@ if diff -r "$outdir/parent" "$outdir/change"; then
     exit 0
 fi
 echo "outputs differ: $outdir/parent and $outdir/change" >&2
+"$python" - "$outdir" "${configs[@]}" <<'EOF_REPORT'
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+outdir = Path(sys.argv[1])
+
+
+def summary(run):
+    try:
+        s = json.loads((run / "summary.json").read_text())
+        return f"{s['status']}, {s['steps_completed']} steps"
+    except (OSError, ValueError, KeyError):
+        return "no summary.json"
+
+
+def rows(run):
+    try:
+        lines = (run / "diagnostics.csv").read_text().splitlines()
+    except OSError:
+        return [], []
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    return (table[0], [[float(v) for v in row] for row in table[1:]]) if table else ([], [])
+
+
+def largest(pairs):
+    deltas = [abs(a - b) for a, b in pairs]
+    return math.nan if any(math.isnan(d) for d in deltas) else max(deltas, default=0.0)
+
+
+for cfg in sys.argv[2:]:
+    name = Path(cfg).stem
+    runs = [outdir / side / name / "run" for side in ("parent", "change")]
+    print(f"{name}: parent {summary(runs[0])}; change {summary(runs[1])}")
+    (head, old), (new_head, new) = rows(runs[0]), rows(runs[1])
+    if not head or head != new_head:
+        print("  diagnostics.csv: missing, or the columns differ")
+        continue
+    both = list(zip(old, new))
+    print(f"  largest |change| over the {len(both)} rows both sides wrote:")
+    for k, column in enumerate(head):
+        line = f"    {column:<14} {largest((a[k], b[k]) for a, b in both):.3g}"
+        if column == "alpha_star":
+            line += f"  (|alpha_star|: {largest((abs(a[k]), abs(b[k])) for a, b in both):.3g})"
+        print(line)
+EOF_REPORT
 exit 1
