@@ -146,7 +146,7 @@ def closure_state(
     The checks read what the curve caches for its diagnostics row.  A wave state
     takes its strength from ``chi``, or else its chi from ``omega``; a Muskat
     state takes the closure's strength.  An equal-viscosity state
-    carries no field (one more fused pass, 45-60 ms at N = 2048, in every set-up).
+    carries no field (one more fused pass, about 18 ms at N = 2048, in every set-up).
     """
     if curve.grid != config.grid:
         raise ValidationError(f"state's grid {curve.grid} is not the config's {config.grid}")

@@ -29,28 +29,36 @@ far-field decay of omega justifies.
 
 Without a held operator, pv_all_nodes forms its punctured sums, u - iv at
 every node before the diagonal limit, in one fused pass: it walks the source
-nodes a block of rows at a time through two reused buffers, for t - z and
-t - zbar, and reduces each block at once against the density omega w z2 / pi;
-its memory is O(block N).  A block has max(OPERATOR_BLOCK, BLOCK_PAIRS // N)
-rows, which depends on N alone, so a split pass and a one-thread pass walk the
-same blocks.  A closure that applies one curve's operator more than once (the
+nodes a block of rows at a time through one reused row buffer, and reduces
+each block at once against the density omega w z2 / pi; its memory is
+O(block N).  A closure that applies one curve's operator more than once (the
 Muskat Picard solve, the wave closure) holds its node_operator, the bare rows
 R, and passes it to pv_all_nodes, whose sums are then one apply of it to the
-density, its scale formed once per curve.  Both closures iterate one equation,
-x = r + g V(x) . dz/dalpha, in solve_tangential; in V . dz/dalpha the limit's
-f' term drops (it is imaginary once multiplied by z'): tangential_velocity is
-one apply plus O(N) work.  So a pair pass and an apply are the only O(N^2)
-walks; no closure reads the operator's rows.  pair_passes counts both kinds of
-pass, process-wide.
+density, its scale formed once per curve.  Both closures iterate one
+equation, x = r + g V(x) . dz/dalpha, in solve_tangential; in V . dz/dalpha
+the limit's f' term drops (it is imaginary once multiplied by z'):
+tangential_velocity is one apply plus O(N) work.  So a pair pass and an apply
+are the only O(N^2) walks; no closure reads the operator's rows.  pair_passes
+counts both kinds of pass, process-wide.
+
+A pass forms a block's products P = (t - z_k)(t - zbar_k), then one reciprocal.
+From FAR_NODES on only the target columns within NEAR of the block keep the two
+factors; the rest are one real (m, 3) x (3, 2w) matrix product about the
+block's centre c: P = (t - c)^2 - 2 d_k (t - c) + d_k^2 + y_k^2, d_k = x_k - c.
+For X = |x_t - x_k| >= 2 |d_k| and Y = y_t + y_k its terms are at most
+8 X^2 + 3 Y^2 against |P| >= X (X^2 + Y^2)^(1/2): it rounds to a few eps
+(1 + Y/X), which the band bounds.  Every entry matched long double to 1.4e-15
+relative at N = 1024 to 8192, as the two-factor form does.  On 2 cores a split
+fused pass took 6.8 / 18 / 52 ms at N = 1024 / 2048 / 4096, against 10.5 / 28
+/ 98 for the two-factor pass; the reciprocal, 3 ns a pair, is most of it.
 
 From SPLIT_NODES nodes on, the calling thread runs the lower half of the
 target columns, cut at a multiple of the block height, and one persistent
-helper thread the upper, each through its own half-width buffers.  Each half
-adds the source blocks into its own columns in the one-thread order, and a
-column's sum over a block does not depend on the width, so the result is
-bit-identical.  On 2 cores a fused pass then takes 0.57 of its one-thread time
-at N = 2048 and 0.7 at 1536; the two are level at SPLIT_NODES, and below it
-the split is slower.
+helper thread the upper, each through its own buffers.  Each half adds the
+source blocks, whose height depends on N alone (_blocks), into its own columns
+in the one-thread order, and a column's value and sum over a block do not
+depend on the width: the result is bit-identical.  On 2 cores a split fused
+pass takes 0.78 of the one-thread time at N = 2048, 0.52 at 4096, 0.9 at 1024.
 """
 
 from __future__ import annotations
@@ -67,14 +75,17 @@ from .geometry import DECAY_TOL, FloatArray, Grid, InterfaceCurve
 
 INV_2PI_I = 1.0 / (2j * np.pi)
 
-# Source rows per block of a pair pass: BLOCK_PAIRS // N, 64 at N = 256 and 32
-# at 512, but at least OPERATOR_BLOCK, at or near the fastest of 8-64 rows at
-# N = 2048 and 4096, split or not.
-OPERATOR_BLOCK = 16
+# Source rows per block of a pair pass: BLOCK_PAIRS // N below FAR_NODES (64 at N = 256,
+# 32 at 512), OPERATOR_BLOCK from it on; at N = 2048 24 rows took 1.15x as long.
+OPERATOR_BLOCK = 32
 BLOCK_PAIRS = 16 * 1024
 
 # Node count from which a pair pass runs half of its targets on a helper thread.
 SPLIT_NODES = 1024
+
+# From FAR_NODES nodes on, the products beyond NEAR columns of a block are a rank-3 product.
+FAR_NODES = 1024
+NEAR = 16
 
 # Sup-norm change of successive iterates at which solve_tangential stops, and
 # the iterations it makes before NoConvergence, for both closures.
@@ -127,25 +138,20 @@ def diagonal_limit(dz, d2z, f, df):
     return (0.5 * f * d2z / dz - df) / dz
 
 
-def _source_columns(curve: InterfaceCurve) -> np.ndarray:
-    """(N, 3): each source's z_k, zbar_k and zbar_k - z_k = -2i z2_k."""
-    return np.stack([curve.z, np.conj(curve.z), -2j * curve.z2], axis=1)
+def _sheet_rows(z: np.ndarray, t, puncture=(), out=None, mirror=None):
+    """(t - z_k)(t - zbar_k), whose reciprocal is 1/(t - z_k) - 1/(t - zbar_k) over z_k - zbar_k.
 
-
-def _sheet_rows(sources: np.ndarray, t, puncture=(), out=None, mirror=None):
-    """1 / ((t - z_k)(t - zbar_k)), the pair 1/(t - z_k) - 1/(t - zbar_k) over z_k - zbar_k.
-
-    Sources (rows of _source_columns) run down, targets ``t`` across; ``out``
-    and ``mirror`` are buffers of that shape for t - z and t - zbar.  At the
-    (row, column) positions ``puncture`` the target sits on the source node;
-    there t - z_k becomes zbar_k - z_k, which leaves the mirror-only value
-    1 / (4 z2_k^2).  Against omega_k w_k z2_k / pi they give u - iv.
+    Sources z_k run down, targets ``t`` across; ``out`` and ``mirror`` are
+    buffers of that shape for t - z and t - zbar.  At the (row, column)
+    positions ``puncture`` the target sits on the source node; there t - z_k
+    becomes zbar_k - z_k = -2i z2_k, which leaves the mirror-only value
+    1 / (4 z2_k^2).  Against omega_k w_k z2_k / pi the reciprocals give u - iv.
     """
-    rows = np.subtract(t, sources[:, :1], out=out)
+    rows = np.subtract(t, z[:, None], out=out)
     if puncture:
-        rows[puncture] = sources[puncture[0], 2]
-    rows *= np.subtract(t, sources[:, 1:2], out=mirror)
-    return np.reciprocal(rows, out=rows)
+        rows[puncture] = -2j * z.imag[puncture[0]]
+    rows *= np.subtract(t, z.conj()[:, None], out=mirror)
+    return rows
 
 
 # Whole O(N^2) passes over the node pairs: "assembly" builds an operator,
@@ -162,8 +168,8 @@ def _helper():
 
 
 def _blocks(n: int):
-    """The source blocks of a pass over n nodes: max(OPERATOR_BLOCK, BLOCK_PAIRS // n) rows each."""
-    height = max(OPERATOR_BLOCK, BLOCK_PAIRS // n)
+    """A pass's source blocks: BLOCK_PAIRS // n rows each, OPERATOR_BLOCK from FAR_NODES on."""
+    height = OPERATOR_BLOCK if n >= FAR_NODES else BLOCK_PAIRS // n
     return height, [slice(start, min(start + height, n)) for start in range(0, n, height)]
 
 
@@ -172,21 +178,35 @@ def _pair_pass(curve: InterfaceCurve, kind: str, use, out=None) -> None:
     pair_passes[kind] += 1
     n = curve.grid.node_count
     height, blocks = _blocks(n)
-    sources, index = _source_columns(curve), np.arange(n)
+    z, index, far = curve.z, np.arange(n), n >= FAR_NODES
+    band = NEAR if far else n  # below FAR_NODES every column is near
     cut = n // (2 * height) * height if n >= SPLIT_NODES else n
-    planes = 1 if out is not None else 2  # an assembly writes its rows straight into ``out``
-    halves = [(c, np.empty((planes, height, c.stop - c.start), dtype=np.complex128))
-              for c in (slice(0, cut), slice(cut, n)) if c.stop > c.start]
+    if far:  # each block's centre c and its sources' [1, -2 d_k, d_k^2 + y_k^2]
+        centres = z.real[[(b.start + b.stop) // 2 for b in blocks]]
+        d = z.real - np.repeat(centres, height)[:n]
+        coeffs = np.stack((np.ones(n), -2.0 * d, d * d + z.imag**2), axis=1)
 
-    def half(cols: slice, buffer: np.ndarray) -> None:
-        t, width = curve.z[cols], cols.stop - cols.start
-        for block in blocks:
+    def half(cols: slice, buffer, mirror, powers) -> None:
+        t, width = z[cols], cols.stop - cols.start
+        for i, block in enumerate(blocks):
             m, offset = block.stop - block.start, block.start - cols.start
-            puncture = (index[:m], index[offset : offset + m]) if 0 <= offset < width else ()
-            rows = buffer[0, :m] if out is None else out[block, cols]
-            use(block, cols, _sheet_rows(sources[block], t, puncture, rows, buffer[-1, :m]))
+            rows = buffer[:m] if out is None else out[block, cols]
+            if far:  # every column by the rank-3 product; the near band's are replaced
+                np.square(np.subtract(t, centres[i], out=powers[1]), out=powers[0])
+                np.matmul(coeffs[block], powers.view(np.float64), out=rows.view(np.float64))
+            lo, hi = max(offset - band, 0), min(offset + m + band, width)
+            if lo < hi:
+                puncture = (index[:m], index[offset - lo :][:m]) if 0 <= offset < width else ()
+                _sheet_rows(z[block], t[lo:hi], puncture, rows[:, lo:hi], mirror[:m, : hi - lo])
+            use(block, cols, np.reciprocal(rows, out=rows))
 
-    # the helper's half runs in a copy of the caller's context, which holds numpy's errstate
+    # the calling thread makes each half's rows (an assembly's fill ``out``), near-band
+    # mirror and powers [(t - c)^2, t - c, 1]: freed in the helper thread, they would stay
+    # in its allocator arena.  That half runs in a copy of the caller's context (errstate).
+    halves = [(c, np.empty((height, w), dtype=np.complex128) if out is None else None,
+               np.empty((height, min(w, height + 2 * band)), dtype=np.complex128),
+               np.ones((3, w), dtype=np.complex128) if far else None)
+              for c in (slice(0, cut), slice(cut, n)) if (w := c.stop - c.start)]
     helped = [_helper().submit(copy_context().run, half, *h) for h in halves[1:]]
     try:
         half(*halves[0])
@@ -222,7 +242,7 @@ def sheet_row(curve: InterfaceCurve, t: complex, on) -> np.ndarray:
     for the punctured difference, while the punctured sum needs the opposite sign.
     """
     curve.require_resolved()
-    return _sheet_rows(_source_columns(curve), [t], puncture=(on, 0))[:, 0]
+    return np.reciprocal(_sheet_rows(curve.z, [t], puncture=(on, 0)))[:, 0]
 
 
 def pv_all_nodes(

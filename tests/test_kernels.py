@@ -380,29 +380,41 @@ class TestOneOperator:
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
         reason="long double is float64 on this platform",
     )
-    def test_operator_against_long_double_near_bottom(self):
+    @pytest.mark.parametrize("n", [512, 2048])  # two-factor pass; rank-3 far field
+    def test_operator_against_long_double_near_bottom(self, n):
         # the two kernels nearly cancel where the curve nears the bottom; the
         # product form R keeps every entry to roundoff, held or fused
-        grid = Grid(20.0, 512)
+        grid = Grid(20.0, n)
         curve, _ = build_initial(InitialSpec(profile="pinch", delta=1e-3, window_ramp=4.0), grid)
         op = kernels.node_operator(curve)
-        z = curve.z.astype(np.clongdouble)
-        first = z[None, :] - z[:, None]
-        np.fill_diagonal(first, np.inf)  # punctured: the reciprocal gives 0
-        pair = 1.0 / first - 1.0 / (z[None, :] - np.conj(z)[:, None])
-        ref = pair / (z - np.conj(z))[:, None]  # R = the kernel difference over z_k - zbar_k
-        rel = np.abs(op - ref) / np.abs(ref)
-        assert float(np.max(rel)) <= 1e-14
-        # the fused pass against the summed reference, per node relative to
-        # the sum of its absolute terms; both add the same diagonal limit
         omega = solve_vorticity_equal(curve, PhysicalParams(model=Model.MUSKAT))
-        u, v = pv_all_nodes(curve, omega)
-        limit = node_limit(curve, omega.omega, omega.d1)
+        z = curve.z.astype(np.clongdouble)
         w = grid.trapezoid_weights.astype(np.longdouble)
         density = omega.omega * w * z.imag / np.longdouble(np.pi)
-        ref_sum = density @ ref + w * limit * kernels.INV_2PI_I
-        err = np.abs((u - 1j * v) - ref_sum) / (np.abs(density) @ np.abs(ref))
-        assert float(np.max(err)) <= 1e-14
+        rel, ref_sum, scale = 0.0, w * node_limit(curve, omega.omega, omega.d1) * kernels.INV_2PI_I, 0.0
+        for rows in np.array_split(np.arange(n), n // 256):  # source rows, 256 at a time
+            first = z - z[rows, None]
+            first[np.arange(rows.size), rows] = np.inf  # punctured: the reciprocal gives 0
+            pair = 1.0 / first - 1.0 / (z - np.conj(z)[rows, None])
+            ref = pair / (z - np.conj(z))[rows, None]  # R = the kernel difference over z_k - zbar_k
+            rel = max(rel, float(np.max(np.abs(op[rows] - ref) / np.abs(ref))))
+            ref_sum = ref_sum + density[rows] @ ref
+            scale = scale + np.abs(density[rows]) @ np.abs(ref)
+        assert rel <= 1e-14
+        # the fused pass against the summed reference, per node relative to
+        # the sum of its absolute terms; both add the same diagonal limit
+        u, v = pv_all_nodes(curve, omega)
+        assert float(np.max(np.abs((u - 1j * v) - ref_sum) / scale)) <= 1e-14
+
+    def test_far_field_pass_peak(self):
+        # from FAR_NODES on a fused pass holds one row buffer per half and a
+        # mirror as wide as the near band: 1.53 MB here.  The two-factor pass,
+        # with two full-width planes per half, peaked at 1.76 MB on this curve
+        n = 2048
+        curve = bump_curve(Grid(20.0, n), 0.3)
+        omega = gaussian_strength(curve.grid, amplitude=0.8)
+        pv_all_nodes(curve, omega)  # the curve's cached geometry and the helper thread
+        assert traced_peak(pv_all_nodes, curve, omega) <= 1.76e6
 
     def test_assembly_peak_is_one_operator(self):
         n = 1024
@@ -444,7 +456,7 @@ def off_main_thread(fn):
 class TestSplitPass:
     # from SPLIT_NODES on, a pair pass runs the upper half of its target
     # columns on a helper thread, cut at a multiple of the block height: 64
-    # rows at N = 256, 32 at 512, 16 from 1024 on; 2056 / 2 is not a multiple of 16
+    # rows at N = 256, 32 from 512 on; 2056 / 2 is not a multiple of 32
     @pytest.mark.parametrize("n", [256, 512, 1024, 2048, 2056])
     @pytest.mark.parametrize("config", ["stable_relaxation", "internal_wave", "unstable_pinch"])
     def test_bit_identical_to_one_thread(self, config, n, monkeypatch):
